@@ -42,7 +42,6 @@ from .graphs import (
     SkeletonGraph,
     complete_graph,
     d_separated,
-    neighbors,
 )
 from .inference import (
     EffectMultiset,
@@ -57,8 +56,6 @@ from .inference import (
 from .orientation import cpdag_from_dag, meek_closure, orient_v_structures
 from .skeleton import (
     BatchPlan,
-    EdgeDecision,
-    EdgeTask,
     LevelExecutionError,
     LevelStat,
     LevelStats,
@@ -66,7 +63,6 @@ from .skeleton import (
     decide_edge,
     estimate_task_cost,
     plan_batches,
-    run_level_parallel,
     skeleton_stable,
 )
 
@@ -85,8 +81,6 @@ __all__ = [
     "DegenerateDataError",
     "Discrete",
     "DiscreteSuffStat",
-    "EdgeDecision",
-    "EdgeTask",
     "EffectMultiset",
     "FisherZTest",
     "GaussianMiTest",
@@ -118,13 +112,11 @@ __all__ = [
     "load_csv",
     "make_citest",
     "meek_closure",
-    "neighbors",
     "normal_sf",
     "orient_v_structures",
     "partial_correlation",
     "pc_simple",
     "plan_batches",
-    "run_level_parallel",
     "sample_covariance",
     "skeleton_stable",
     "write_csv",

@@ -34,13 +34,14 @@ from .data import (
 )
 from .graphs import Cpdag, Dag, GraphError, SepsetMap, SkeletonGraph, dag_from_json_dict
 from .inference import (
+    EffectMultiset,
     ida_effects,
     linear_sem_population_cov,
     linear_sem_sample,
-    _pc_simple_impl,
+    pc_simple,
 )
 from .orientation import meek_closure, orient_v_structures
-from .skeleton import LevelExecutionError, SkeletonConfig, skeleton_stable
+from .skeleton import LevelExecutionError, LevelStats, SkeletonConfig, skeleton_stable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -88,6 +89,12 @@ class RunConfig:
             raise CliInputError("--mem-budget must be positive")
         if isinstance(self.mem_budget, str) and self.mem_budget != "auto":
             raise CliInputError("--mem-budget takes a byte count or 'auto'")
+        if self.max_level is not None and self.max_level < 0:
+            raise CliInputError(f"--max-level must be nonnegative, got {self.max_level}")
+        if self.gen_n is not None and self.gen_n < 1:
+            raise CliInputError(f"--n must be at least 1, got {self.gen_n}")
+        if self.cause is not None and self.cause == self.outcome:
+            raise CliInputError("--cause and --outcome must differ")
         for a in self.algos:
             if a not in BENCH_ALGOS:
                 raise CliInputError(f"unknown bench algorithm '{a}'")
@@ -164,23 +171,49 @@ def _load_truth(path: Path) -> tuple[Dag, dict[tuple[int, int], float] | None]:
 
 
 def _prepare_inputs(cfg: RunConfig) -> tuple[object, object, int, Dataset | None, Dag | None]:
-    """Resolve (suff, test, p, dataset, dag) for the configured CI test."""
+    """Resolve (suff, test, p, dataset, dag) for the configured CI test and
+    check the variable-index flags against p."""
     if cfg.input is None:
         raise CliInputError("--input is required")
+    dataset = dag = None
     if cfg.indep_test == "oracle":
         dag, _ = _load_truth(cfg.input)
-        return dag, make_citest("oracle", dag=dag), dag.p, None, dag
-    if cfg.indep_test in ("fisher-z", "mi-g"):
+        suff, test, p = dag, make_citest("oracle", dag=dag), dag.p
+    elif cfg.indep_test in ("fisher-z", "mi-g"):
         dataset = load_csv(cfg.input, "continuous")
         suff = gaussian_suffstat(dataset)
-        return suff, make_citest(cfg.indep_test, gaussian=suff), suff.p, dataset, None
-    dataset = load_csv(cfg.input, "discrete")
-    suff = discrete_suffstat(dataset)
-    return suff, make_citest(cfg.indep_test, discrete=suff), suff.p, dataset, None
+        test, p = make_citest(cfg.indep_test, gaussian=suff), suff.p
+    else:
+        dataset = load_csv(cfg.input, "discrete")
+        suff = discrete_suffstat(dataset)
+        test, p = make_citest(cfg.indep_test, discrete=suff), suff.p
+    for flag, v in (("--target", cfg.target), ("--cause", cfg.cause),
+                    ("--outcome", cfg.outcome)):
+        if v is not None and not 0 <= v < p:
+            raise CliInputError(f"{flag} {v} out of range [0, {p})")
+    return suff, test, p, dataset, dag
 
 
-def _skeleton_payload(graph: SkeletonGraph, seps: SepsetMap) -> dict:
-    return {"skeleton": graph.to_json_dict(), "sepsets": seps.to_json_dict()}
+def _learn_cpdag(suff: object, test: object, p: int, scfg: SkeletonConfig
+                 ) -> tuple[SkeletonGraph, SepsetMap, LevelStats, Cpdag]:
+    """The `pc` pipeline: stable skeleton, v-structures, Meek's rules."""
+    graph, seps, stats = skeleton_stable(suff, test, p, scfg)
+    return graph, seps, stats, meek_closure(orient_v_structures(graph, seps))
+
+
+def _ida(cfg: RunConfig, cpdag: Cpdag, dataset: Dataset | None,
+         dag: Dag | None) -> EffectMultiset:
+    """IDA on the learned CPDAG: the sample covariance of the dataset, or the
+    population covariance of the weighted truth under the oracle."""
+    if dataset is not None:
+        cov = sample_covariance(dataset)
+    else:
+        _, weights = _load_truth(cfg.input)
+        if weights is None:
+            raise CliInputError(
+                "oracle ida needs edge weights in the truth file to form a covariance")
+        cov = linear_sem_population_cov(dag, weights)
+    return ida_effects(cpdag, cov, cfg.cause, cfg.outcome)
 
 
 def _pc_payload(graph: SkeletonGraph, seps: SepsetMap, cpdag: Cpdag) -> dict:
@@ -213,8 +246,7 @@ def cmd_skeleton(cfg: RunConfig) -> int:
 def cmd_pc(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     suff, test, p, _, _ = _prepare_inputs(cfg)
-    graph, seps, stats = skeleton_stable(suff, test, p, cfg.skeleton_config())
-    cpdag = meek_closure(orient_v_structures(graph, seps))
+    graph, seps, stats, cpdag = _learn_cpdag(suff, test, p, cfg.skeleton_config())
     _write_json(out / "skeleton.json", graph.to_json_dict())
     _write_json(out / "sepsets.json", seps.to_json_dict())
     _write_json(out / "cpdag.json", cpdag.to_json_dict())
@@ -227,8 +259,7 @@ def cmd_pcsimple(cfg: RunConfig) -> int:
     if cfg.target is None:
         raise CliInputError("pcsimple requires --target")
     suff, test, p, _, _ = _prepare_inputs(cfg)
-    result, _ = _pc_simple_impl(suff, test, cfg.target, cfg.alpha,
-                                cfg.skeleton_config())
+    result = pc_simple(suff, test, cfg.target, cfg.alpha, cfg.skeleton_config())
     _write_json(out / "pcsimple.json", result.to_json_dict())
     return EXIT_OK
 
@@ -238,18 +269,8 @@ def cmd_ida(cfg: RunConfig) -> int:
     if cfg.cause is None or cfg.outcome is None:
         raise CliInputError("ida requires --cause and --outcome")
     suff, test, p, dataset, dag = _prepare_inputs(cfg)
-    graph, seps, _ = skeleton_stable(suff, test, p, cfg.skeleton_config())
-    cpdag = meek_closure(orient_v_structures(graph, seps))
-    if dataset is not None:
-        cov = sample_covariance(dataset)
-    else:
-        _, weights = _load_truth(cfg.input)
-        if weights is None:
-            raise CliInputError(
-                "oracle ida needs edge weights in the truth file to form a covariance")
-        cov = linear_sem_population_cov(dag, weights)
-    multiset = ida_effects(cpdag, cov, cfg.cause, cfg.outcome)
-    _write_json(out / "ida.json", multiset.to_json_dict())
+    *_, cpdag = _learn_cpdag(suff, test, p, cfg.skeleton_config())
+    _write_json(out / "ida.json", _ida(cfg, cpdag, dataset, dag).to_json_dict())
     return EXIT_OK
 
 
@@ -273,28 +294,18 @@ def _run_bench_algo(cfg: RunConfig, algo: str, workers: int,
     suff, test, p, dataset, dag = _prepare_inputs(cfg)
     scfg = cfg.skeleton_config(num_workers=workers, mem_efficient=mem_efficient)
     started = time.perf_counter()
-    if algo == "pc":
-        graph, seps, stats = skeleton_stable(suff, test, p, scfg)
-        cpdag = meek_closure(orient_v_structures(graph, seps))
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        return wall_ms, stats.peak_tasks_in_flight, result_digest(
-            _pc_payload(graph, seps, cpdag))
     if algo == "pcsimple":
-        target = cfg.target if cfg.target is not None else 0
-        result, peak = _pc_simple_impl(suff, test, target, cfg.alpha, scfg)
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        return wall_ms, peak, result_digest(result.to_json_dict())
-    cause = cfg.cause if cfg.cause is not None else 0
-    outcome = cfg.outcome if cfg.outcome is not None else 1
-    graph, seps, stats = skeleton_stable(suff, test, p, scfg)
-    cpdag = meek_closure(orient_v_structures(graph, seps))
-    if dataset is not None:
-        cov = sample_covariance(dataset)
+        result = pc_simple(suff, test, cfg.target, cfg.alpha, scfg)
+        peak, payload = result.peak_tasks_in_flight, result.to_json_dict()
     else:
-        raise CliInputError("bench ida requires a CSV dataset input")
-    multiset = ida_effects(cpdag, cov, cause, outcome)
+        graph, seps, stats, cpdag = _learn_cpdag(suff, test, p, scfg)
+        peak = stats.peak_tasks_in_flight
+        if algo == "pc":
+            payload = _pc_payload(graph, seps, cpdag)
+        else:
+            payload = _ida(cfg, cpdag, dataset, dag).to_json_dict()
     wall_ms = (time.perf_counter() - started) * 1000.0
-    return wall_ms, stats.peak_tasks_in_flight, result_digest(multiset.to_json_dict())
+    return wall_ms, peak, result_digest(payload)
 
 
 def cmd_bench(cfg: RunConfig) -> int:
@@ -385,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gen-p", type=int, default=None)
     sp.add_argument("--gen-density", type=float, default=None)
     sp.add_argument("--gen-n", type=int, default=None)
-    sp.add_argument("--target", type=int, default=None)
-    sp.add_argument("--cause", type=int, default=None)
-    sp.add_argument("--outcome", type=int, default=None)
+    sp.add_argument("--target", type=int, default=0)
+    sp.add_argument("--cause", type=int, default=0)
+    sp.add_argument("--outcome", type=int, default=1)
     return parser
 
 

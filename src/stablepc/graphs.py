@@ -7,7 +7,6 @@ whole-graph snapshots.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
@@ -80,15 +79,6 @@ class SkeletonGraph:
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
-    def assert_symmetric(self) -> None:
-        """Debug audit walking both triangles."""
-        for i in range(self.p):
-            for j in range(i + 1, self.p):
-                if self.adj[i, j] != self.adj[j, i]:
-                    raise GraphError(f"asymmetry at ({i}, {j})")
-            if self.adj[i, i]:
-                raise GraphError(f"self loop at {i}")
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SkeletonGraph)
                 and self.p == other.p
@@ -96,9 +86,6 @@ class SkeletonGraph:
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "edges": [[i, j, "--"] for i, j in self.edges()]}
-
-    def to_edge_list(self) -> str:
-        return "".join(f"{i} -- {j}\n" for i, j in self.edges())
 
 
 def complete_graph(p: int) -> SkeletonGraph:
@@ -108,10 +95,6 @@ def complete_graph(p: int) -> SkeletonGraph:
     adj = np.ones((p, p), dtype=bool)
     np.fill_diagonal(adj, False)
     return SkeletonGraph(p, adj)
-
-
-def neighbors(g: SkeletonGraph, v: int) -> list[int]:
-    return g.neighbors(v)
 
 
 class Cpdag:
@@ -245,9 +228,6 @@ class Cpdag:
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "edges": self.edge_records()}
-
-    def to_edge_list(self) -> str:
-        return "".join(f"{i} {m} {j}\n" for i, j, m in self.edge_records())
 
 
 class SepsetMap:
@@ -436,10 +416,6 @@ def d_separated(dag: Dag, i: int, j: int, s: Iterable[int]) -> bool:
                 seen.add(u)
                 queue.append(u)
     return True
-
-
-def graph_json(obj: SkeletonGraph | Cpdag | Dag, indent: int | None = 2) -> str:
-    return json.dumps(obj.to_json_dict(), sort_keys=True, indent=indent) + "\n"
 
 
 def skeleton_from_json_dict(data: dict) -> SkeletonGraph:

@@ -1,7 +1,9 @@
 """Local parent/children discovery and intervention-effect estimation.
 
 ``pc_simple`` runs the level-synchronized candidate elimination around one
-target variable, reusing the skeleton engine's executor and batching.
+target variable as a client of the skeleton module's level engine: each
+level's candidates are task rows, decided by ``decide_candidate`` against
+the level-start candidate pool.
 ``ida_effects`` enumerates the admissible parent sets of a cause in a CPDAG
 and reports one regression-adjusted total effect per set.  The linear SEM
 helpers generate test data and the matching population covariance.
@@ -9,7 +11,7 @@ helpers generate test data and the matching population covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -19,13 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .citests import CiTest, DegenerateConditioningError
 from .data import Continuous, Dataset
 from .graphs import Cpdag, Dag
-from .skeleton import (
-    LevelExecutor,
-    SkeletonConfig,
-    estimate_task_cost,
-    plan_batches,
-)
-from . import skeleton as _skeleton_mod
+from .skeleton import LevelExecutor, SkeletonConfig, estimate_task_cost, run_level
 
 # Tolerance for accepting a pseudo-inverse solution of the normal equations;
 # inconsistent systems beyond it are flagged degenerate.
@@ -38,12 +34,15 @@ class PcSimpleResult:
 
     ``p_values`` maps each member to the largest p-value observed over all
     of its conditioning sets (every one of them is at most alpha, else the
-    member would have been removed).
+    member would have been removed).  ``peak_tasks_in_flight`` is the
+    largest batch the run dispatched; like a wall time it describes the
+    schedule, so equality and the JSON form leave it out.
     """
 
     target: int
     members: tuple[int, ...]
     p_values: Mapping[int, float]
+    peak_tasks_in_flight: int = field(default=0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,113 +81,31 @@ class EffectMultiset:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateTask:
-    """One candidate at one level, with the frozen level-start candidate set."""
+def decide_candidate(shared: tuple[int, int, tuple[int, ...]], row: Sequence[int],
+                     test: CiTest, alpha: float) -> tuple[bool, float, int]:
+    """Test one candidate against the target for every same-level subset of
+    the level-start pool; the first acceptance marks it for removal.
 
-    level: int
-    target: int
-    x: int
-    pool: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CandidateDecision:
-    x: int
-    removed: bool
-    p_value: float
-    tests_performed: int
-
-
-def decide_candidate(task: CandidateTask, test: CiTest, alpha: float) -> CandidateDecision:
-    """Test the candidate against the target for every same-level subset of
-    the snapshot pool; the first acceptance marks it for removal."""
-    others = tuple(v for v in task.pool if v != task.x)
+    ``shared`` is (level, target, pool) and ``row`` is the candidate (x,).
+    Returns whether x goes, the largest p-value seen (the accepting one when
+    it goes) and the number of tests run.
+    """
+    level, target, pool = shared
+    (x,) = row
+    others = tuple(v for v in pool if v != x)
     largest = 0.0
     tests = 0
-    for sub in combinations(others, task.level):
+    for sub in combinations(others, level):
         tests += 1
         try:
-            outcome = test(task.x, task.target, sub)
+            outcome = test(x, target, sub)
         except DegenerateConditioningError:
             continue
         if outcome.p_value > largest:
             largest = outcome.p_value
         if outcome.p_value > alpha:
-            return CandidateDecision(task.x, True, outcome.p_value, tests)
-    return CandidateDecision(task.x, False, largest, tests)
-
-
-def _encode_candidate_slice(tasks: Sequence[CandidateTask]) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    table: list[tuple[int, ...]] = []
-    position: dict[int, int] = {}
-    rows = np.empty((len(tasks), 4), dtype=np.int64)
-    for k, t in enumerate(tasks):
-        ti = position.get(id(t.pool))
-        if ti is None:
-            ti = len(table)
-            position[id(t.pool)] = ti
-            table.append(t.pool)
-        rows[k] = (t.level, t.target, t.x, ti)
-    return table, rows
-
-
-def _run_candidate_slice(payload: tuple[list[tuple[int, ...]], np.ndarray]) -> list[tuple]:
-    context = _skeleton_mod._WORKER_CONTEXT
-    assert context is not None, "worker context missing"
-    test, alpha = context
-    table, rows = payload
-    out = []
-    for level, target, x, ti in rows.tolist():
-        d = decide_candidate(CandidateTask(level, target, x, table[ti]), test, alpha)
-        out.append((d.x, d.removed, d.p_value, d.tests_performed))
-    return out
-
-
-def _run_candidates(tasks: list[CandidateTask], test: CiTest, alpha: float,
-                    cfg: SkeletonConfig, ex: LevelExecutor) -> list[CandidateDecision]:
-    if not tasks:
-        return []
-    if cfg.num_workers == 1:
-        return [decide_candidate(t, test, alpha) for t in tasks]
-    payloads = [_encode_candidate_slice(s)
-                for s in _skeleton_mod._even_slices(tasks, ex.num_workers)]
-    decisions: list[CandidateDecision] = []
-    for chunk in ex.map_slices(_run_candidate_slice, payloads):
-        decisions.extend(CandidateDecision(*row) for row in chunk)
-    return decisions
-
-
-def _pc_simple_impl(suff: object, test: CiTest, target: int, alpha: float,
-                    cfg: SkeletonConfig) -> tuple[PcSimpleResult, int]:
-    p = getattr(suff, "p", None)
-    if not isinstance(p, int):
-        raise ValueError("sufficient statistic does not expose a variable count")
-    if not 0 <= target < p:
-        raise ValueError(f"target {target} out of range [0, {p})")
-    candidates = [v for v in range(p) if v != target]
-    largest_p: dict[int, float] = {v: 0.0 for v in candidates}
-    peak_in_flight = 0
-    with LevelExecutor(cfg.num_workers, test, alpha) as ex:
-        level = 0
-        while level < len(candidates) and (cfg.max_level is None or level <= cfg.max_level):
-            pool = tuple(candidates)
-            tasks = [CandidateTask(level, target, x, pool) for x in candidates]
-            plan = plan_batches(tasks, cfg, estimate_task_cost(level, suff))
-            decisions: list[CandidateDecision] = []
-            for batch in plan.batches:
-                peak_in_flight = max(peak_in_flight, len(batch))
-                decisions.extend(_run_candidates(batch, test, alpha, cfg, ex))
-            keep = []
-            for d in decisions:
-                largest_p[d.x] = max(largest_p[d.x], d.p_value)
-                if not d.removed:
-                    keep.append(d.x)
-            candidates = keep
-            level += 1
-    members = tuple(candidates)
-    result = PcSimpleResult(target, members, {m: largest_p[m] for m in members})
-    return result, peak_in_flight
+            return True, outcome.p_value, tests
+    return False, largest, tests
 
 
 def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
@@ -201,8 +118,29 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
     removals apply at level end.  Stops once the level reaches the pool
     size.
     """
-    result, _ = _pc_simple_impl(suff, test, target, alpha, cfg)
-    return result
+    p = getattr(suff, "p", None)
+    if not isinstance(p, int):
+        raise ValueError("sufficient statistic does not expose a variable count")
+    if not 0 <= target < p:
+        raise ValueError(f"target {target} out of range [0, {p})")
+    candidates = [v for v in range(p) if v != target]
+    largest_p: dict[int, float] = {v: 0.0 for v in candidates}
+    with LevelExecutor(cfg.num_workers, test, alpha) as ex:
+        level = 0
+        while level < len(candidates) and (cfg.max_level is None or level <= cfg.max_level):
+            rows = np.array(candidates, dtype=np.int64).reshape(-1, 1)
+            results = run_level(ex, decide_candidate, (level, target, tuple(candidates)),
+                                rows, cfg, estimate_task_cost(level, suff))
+            keep = []
+            for x, (removed, p_value, _) in zip(candidates, results):
+                largest_p[x] = max(largest_p[x], p_value)
+                if not removed:
+                    keep.append(x)
+            candidates = keep
+            level += 1
+    members = tuple(candidates)
+    return PcSimpleResult(target, members, {m: largest_p[m] for m in members},
+                          ex.peak_tasks_in_flight)
 
 
 def admissible_parent_sets(g: Cpdag, x: int) -> list[tuple[int, ...]]:

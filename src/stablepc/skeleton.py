@@ -3,21 +3,26 @@
 The search starts from the complete graph and proceeds in levels, where the
 level is the conditioning-set size.  All CI tests of one level run against an
 immutable snapshot of the graph taken at level start, and every removal is
-applied in a single-threaded merge at level end.  Because each edge's task
-carries everything that determines its outcome (the snapshot neighborhoods
-and the level), the per-edge decisions are independent of scheduling: any
+applied in a single-threaded merge at level end.
+
+One level engine, ``run_level``, evaluates the tasks of a level.  A task is
+one row of an integer array, and the row together with the level's shared
+snapshot fixes everything that determines its outcome: a module-level
+``decide(shared, row, test, alpha)`` function reads nothing else.  So any
 worker count and any batch partition produce results identical to the
-sequential run.
+sequential run.  The engine has three clients, each with its own ``decide``:
+the skeleton levels (``decide_edge``), the separating-set search after the
+last level (``_search_pair``) and PC-simple (``inference.decide_candidate``).
 
 Batching bounds how many tasks sit in worker queues at once so a run on a
 memory-constrained machine does not hold the whole level in flight while
 waiting for the merge barrier.  Batch boundaries never influence results,
 only scheduling.
 
-After the last level, a separating-set search on the final skeleton records,
-for every non-adjacent pair that shares a neighbour, every accepting set
-drawn from the pair's final neighbourhoods.  Its tasks are scheduled like a
-level's, and orientation votes over what it finds.
+After the last level, the separating-set search on the final skeleton
+records, for every non-adjacent pair that shares a neighbour, every accepting
+set drawn from the pair's final neighbourhoods.  Orientation votes over what
+it finds.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,51 +85,16 @@ class SkeletonConfig:
             raise ValueError("force_batch_size must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeTask:
-    """One surviving edge plus the frozen level-start neighborhoods.
-
-    The task fixes its own conditioning-set enumeration completely, so where
-    or when it executes cannot change its decision.  Neighbor tuples are
-    ascending and include the opposite endpoint; they are shared between
-    tasks of the same level to keep snapshots cheap.
-    """
-
-    level: int
-    i: int
-    j: int
-    nbrs_i: tuple[int, ...]
-    nbrs_j: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.i < self.j:
-            raise ValueError("edge task requires 0 <= i < j")
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeDecision:
-    i: int
-    j: int
-    removed: bool
-    sepset: tuple[int, ...] | None
-    tests_performed: int
-
-
 @dataclass(frozen=True)
 class BatchPlan:
-    """Ordered partition of a level's task list into contiguous chunks."""
+    """Ordered partition of a level's task rows into contiguous chunks."""
 
-    batches: tuple[list[EdgeTask], ...]
+    batches: tuple[Sequence, ...]
 
     def __post_init__(self) -> None:
         for b in self.batches:
-            if not b:
+            if len(b) == 0:
                 raise ValueError("batches must be non-empty")
-
-    def task_count(self) -> int:
-        return sum(len(b) for b in self.batches)
 
 
 @dataclass(frozen=True)
@@ -149,9 +119,6 @@ class LevelStats:
     peak_tasks_in_flight: int
     search_tests: int = 0
 
-    def total_tests(self) -> int:
-        return sum(s.tests for s in self.levels)
-
     def to_json_list(self) -> list[dict]:
         return [
             {"level": s.level, "tests": s.tests, "removals": s.removals,
@@ -160,72 +127,66 @@ class LevelStats:
         ]
 
 
-def decide_edge(task: EdgeTask, test: CiTest, alpha: float) -> EdgeDecision:
+def decide_edge(shared: tuple[int, Sequence[tuple[int, ...]]], row: Sequence[int],
+                test: CiTest, alpha: float) -> tuple[tuple[int, ...] | None, int]:
     """Run one edge's conditioning sets for its level; first acceptance wins.
 
-    Sets of size ``task.level`` are drawn from i's snapshot neighborhood
-    (minus j) in lexicographic order, then from j's side skipping sets
-    already covered by i's side.  A degenerate-conditioning failure counts
-    as dependence for that set and enumeration continues.
+    ``shared`` is the level and the level-start neighbour tuples (ascending,
+    indexed by variable); ``row`` is the edge (i, j), i < j.  Sets of the
+    level's size are drawn from i's neighbourhood (minus j) in lexicographic
+    order, then from j's side skipping sets already covered by i's side.  A
+    degenerate-conditioning failure counts as dependence for that set and
+    enumeration continues.  Returns the accepting set (None when the edge
+    stays) and the number of tests run.
     """
-    side_i = tuple(v for v in task.nbrs_i if v != task.j)
-    side_j = tuple(v for v in task.nbrs_j if v != task.i)
+    level, nbrs = shared
+    i, j = row
+    side_i = tuple(v for v in nbrs[i] if v != j)
+    side_j = tuple(v for v in nbrs[j] if v != i)
     tests = 0
-    for sub in combinations(side_i, task.level):
+    for sub in combinations(side_i, level):
         tests += 1
         try:
-            outcome = test(task.i, task.j, sub)
+            outcome = test(i, j, sub)
         except DegenerateConditioningError:
             continue
         if outcome.p_value > alpha:
-            return EdgeDecision(task.i, task.j, True, sub, tests)
+            return sub, tests
     covered = set(side_i)
-    for sub in combinations(side_j, task.level):
+    for sub in combinations(side_j, level):
         if all(v in covered for v in sub):
             continue
         tests += 1
         try:
-            outcome = test(task.i, task.j, sub)
+            outcome = test(i, j, sub)
         except DegenerateConditioningError:
             continue
         if outcome.p_value > alpha:
-            return EdgeDecision(task.i, task.j, True, sub, tests)
-    return EdgeDecision(task.i, task.j, False, None, tests)
+            return sub, tests
+    return None, tests
 
 
-class _SearchTask(NamedTuple):
-    """One non-adjacent pair of the final skeleton and its subset pools.
-
-    ``side_i`` and ``side_j`` are the endpoints' final neighbourhoods,
-    ascending; set sizes run from ``min_size`` to ``max_size``.
-    """
-
-    i: int
-    j: int
-    min_size: int
-    max_size: int
-    side_i: tuple[int, ...]
-    side_j: tuple[int, ...]
-
-
-def _search_pair(task: _SearchTask, test: CiTest,
+def _search_pair(nbrs: Sequence[tuple[int, ...]], row: Sequence[int], test: CiTest,
                  alpha: float) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Every accepting set of the task's sizes, and the number of tests run.
+    """Every accepting set of one non-adjacent pair, and the number of tests run.
 
-    Each size enumerates like ``decide_edge``: i's side in lexicographic
-    order, then j's side skipping sets already covered by i's side, so each
-    distinct set is tested once.  A degenerate set does not accept.
+    ``nbrs`` holds the final neighbour tuples; ``row`` is (i, j, min_size,
+    max_size).  Each size enumerates like ``decide_edge``: i's neighbourhood
+    in lexicographic order, then j's skipping sets already covered by i's,
+    so each distinct set is tested once.  A degenerate set does not accept.
     """
-    covered = set(task.side_i)
+    i, j, min_size, max_size = row
+    side_i, side_j = nbrs[i], nbrs[j]
+    covered = set(side_i)
     found = []
     tests = 0
-    for size in range(task.min_size, task.max_size + 1):
-        from_j = (sub for sub in combinations(task.side_j, size)
+    for size in range(min_size, max_size + 1):
+        from_j = (sub for sub in combinations(side_j, size)
                   if not all(v in covered for v in sub))
-        for sub in chain(combinations(task.side_i, size), from_j):
+        for sub in chain(combinations(side_i, size), from_j):
             tests += 1
             try:
-                outcome = test(task.i, task.j, sub)
+                outcome = test(i, j, sub)
             except DegenerateConditioningError:
                 continue
             if outcome.p_value > alpha:
@@ -233,9 +194,10 @@ def _search_pair(task: _SearchTask, test: CiTest,
     return tuple(found), tests
 
 
-def _search_tasks(graph: SkeletonGraph, sepsets: SepsetMap,
-                  max_level: int | None) -> list[_SearchTask]:
-    """One task per non-adjacent pair (i < j) sharing a neighbour, ascending.
+def _search_rows(graph: SkeletonGraph, sepsets: SepsetMap,
+                 nbrs: Sequence[tuple[int, ...]], max_level: int | None) -> np.ndarray:
+    """One row (i, j, min_size, max_size) per non-adjacent pair (i < j)
+    sharing a neighbour, ascending.
 
     Sizes below the removal level need no test: while the edge was present
     the skeleton tested and rejected every such subset of these (then
@@ -243,14 +205,13 @@ def _search_tasks(graph: SkeletonGraph, sepsets: SepsetMap,
     """
     adj = graph.adj.astype(np.float32)
     shares = (adj @ adj > 0) & ~graph.adj
-    nbrs = [tuple(graph.neighbors(v)) for v in range(graph.p)]
-    tasks = []
+    rows = []
     for i, j in np.argwhere(np.triu(shares, 1)).tolist():
         top = max(len(nbrs[i]), len(nbrs[j]))
         if max_level is not None:
             top = min(top, max_level)
-        tasks.append(_SearchTask(i, j, len(sepsets.get(i, j)), top, nbrs[i], nbrs[j]))
-    return tasks
+        rows.append((i, j, len(sepsets.get(i, j)), top))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def probe_free_memory() -> int | None:
@@ -291,9 +252,9 @@ def estimate_task_cost(level: int, suff: object) -> int:
     return GAUSSIAN_TASK_BASE + GAUSSIAN_TASK_CELL * side * side
 
 
-def plan_batches(tasks: Sequence[EdgeTask], cfg: SkeletonConfig,
+def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
                  per_task_cost: int) -> BatchPlan:
-    """Partition a level's tasks into contiguous batches.
+    """Partition a level's task rows into contiguous batches.
 
     Without the memory-efficient flag everything goes into one batch.  With
     it, the batch size is the worker count times the per-worker task count
@@ -301,7 +262,6 @@ def plan_batches(tasks: Sequence[EdgeTask], cfg: SkeletonConfig,
     """
     if per_task_cost <= 0:
         raise ValueError("per_task_cost must be positive")
-    tasks = list(tasks)
     n = len(tasks)
     if n == 0:
         return BatchPlan(())
@@ -323,11 +283,14 @@ def plan_batches(tasks: Sequence[EdgeTask], cfg: SkeletonConfig,
 
 # ---------------------------------------------------------------------------
 # Worker-side machinery.  One process pool per engine run; workers hold the
-# CI test and alpha in a module global set by the pool initializer, and task
-# slices travel as a deduplicated neighborhood table plus an integer matrix,
-# which is far cheaper to pickle than task objects.
+# CI test and alpha in a module global set by the pool initializer.  Every
+# slice travels in one format, ``(decide, shared, rows)``: the client's
+# module-level decide function (pickled by reference), the level's shared
+# snapshot and a contiguous block of the integer task rows.
 
 _WORKER_CONTEXT: tuple[CiTest, float] | None = None
+
+Decide = Callable[[object, list, CiTest, float], object]
 
 
 def _init_worker(test: CiTest, alpha: float) -> None:
@@ -335,40 +298,11 @@ def _init_worker(test: CiTest, alpha: float) -> None:
     _WORKER_CONTEXT = (test, alpha)
 
 
-def _encode_edge_slice(tasks: Sequence[EdgeTask]) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    table: list[tuple[int, ...]] = []
-    position: dict[int, int] = {}
-    rows = np.empty((len(tasks), 5), dtype=np.int64)
-    for k, t in enumerate(tasks):
-        ti = position.get(id(t.nbrs_i))
-        if ti is None:
-            ti = len(table)
-            position[id(t.nbrs_i)] = ti
-            table.append(t.nbrs_i)
-        tj = position.get(id(t.nbrs_j))
-        if tj is None:
-            tj = len(table)
-            position[id(t.nbrs_j)] = tj
-            table.append(t.nbrs_j)
-        rows[k] = (t.level, t.i, t.j, ti, tj)
-    return table, rows
-
-
-def _run_edge_slice(payload: tuple[list[tuple[int, ...]], np.ndarray]) -> list[tuple]:
+def _run_slice(payload: tuple[Decide, object, np.ndarray]) -> list:
     assert _WORKER_CONTEXT is not None, "worker context missing"
     test, alpha = _WORKER_CONTEXT
-    table, rows = payload
-    out = []
-    for level, i, j, ti, tj in rows.tolist():
-        d = decide_edge(EdgeTask(level, i, j, table[ti], table[tj]), test, alpha)
-        out.append((d.i, d.j, d.removed, d.sepset, d.tests_performed))
-    return out
-
-
-def _run_search_slice(tasks: Sequence[_SearchTask]) -> list[tuple]:
-    assert _WORKER_CONTEXT is not None, "worker context missing"
-    test, alpha = _WORKER_CONTEXT
-    return [_search_pair(t, test, alpha) for t in tasks]
+    decide, shared, rows = payload
+    return [decide(shared, row, test, alpha) for row in rows.tolist()]
 
 
 def _even_slices(items: Sequence, parts: int) -> list[Sequence]:
@@ -390,13 +324,15 @@ class LevelExecutor:
 
     Lazily spins up the process pool on the first parallel dispatch, so
     sequential runs never fork.  Each instance owns its pool; concurrent
-    engine runs on distinct inputs use distinct executors.
+    engine runs on distinct inputs use distinct executors.  It also keeps
+    the largest batch ``run_level`` dispatched through it.
     """
 
     def __init__(self, num_workers: int, test: CiTest, alpha: float):
         self.num_workers = num_workers
-        self._test = test
-        self._alpha = alpha
+        self.test = test
+        self.alpha = alpha
+        self.peak_tasks_in_flight = 0
         self._pool: ProcessPoolExecutor | None = None
 
     def __enter__(self) -> "LevelExecutor":
@@ -415,14 +351,14 @@ class LevelExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.num_workers,
                 initializer=_init_worker,
-                initargs=(self._test, self._alpha),
+                initargs=(self.test, self.alpha),
             )
         return self._pool
 
-    def map_slices(self, job, payloads: Sequence) -> list[list]:
-        """Submit one job per payload; gather results in submission order."""
+    def map_slices(self, payloads: Sequence) -> list[list]:
+        """Run one slice per payload; gather results in submission order."""
         pool = self._ensure_pool()
-        futures = [pool.submit(job, payload) for payload in payloads]
+        futures = [pool.submit(_run_slice, payload) for payload in payloads]
         results = []
         try:
             for f in futures:
@@ -435,40 +371,28 @@ class LevelExecutor:
         return results
 
 
-def run_level_parallel(tasks: Sequence[EdgeTask], test: CiTest, alpha: float,
-                       cfg: SkeletonConfig,
-                       _executor: LevelExecutor | None = None) -> list[EdgeDecision]:
-    """Decide one batch of same-level edge tasks, in input order.
+def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarray,
+              cfg: SkeletonConfig, per_task_cost: int) -> list:
+    """Decide every task row against the shared snapshot, in row order.
 
-    With one worker this is a plain in-process loop over ``decide_edge``;
-    with more, workers receive disjoint contiguous slices and the gathered
-    decisions are element-for-element identical to the sequential loop.
+    ``decide(shared, row, test, alpha)`` must be a module-level function so
+    that workers can unpickle it; each row reaches it as a list of ints.  The
+    rows are split into batches by ``plan_batches``.  With one worker a batch
+    runs in-process; with more, each worker gets an even contiguous slice of
+    it, and the gathered results are element-for-element those of the
+    in-process loop.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    if cfg.num_workers == 1:
-        return [decide_edge(t, test, alpha) for t in tasks]
-    if _executor is None:
-        with LevelExecutor(cfg.num_workers, test, alpha) as ex:
-            return _dispatch_edges(ex, tasks)
-    return _dispatch_edges(_executor, tasks)
-
-
-def _dispatch_edges(ex: LevelExecutor, tasks: list[EdgeTask]) -> list[EdgeDecision]:
-    payloads = [_encode_edge_slice(s) for s in _even_slices(tasks, ex.num_workers)]
-    decisions: list[EdgeDecision] = []
-    for chunk in ex.map_slices(_run_edge_slice, payloads):
-        decisions.extend(EdgeDecision(*row) for row in chunk)
-    return decisions
-
-
-def _search_batch(ex: LevelExecutor, tasks: list[_SearchTask], test: CiTest,
-                  alpha: float) -> list[tuple]:
-    if ex.num_workers == 1:
-        return [_search_pair(t, test, alpha) for t in tasks]
-    slices = _even_slices(tasks, ex.num_workers)
-    return [r for chunk in ex.map_slices(_run_search_slice, slices) for r in chunk]
+    results: list = []
+    for batch in plan_batches(rows, cfg, per_task_cost).batches:
+        ex.peak_tasks_in_flight = max(ex.peak_tasks_in_flight, len(batch))
+        if ex.num_workers == 1:
+            results.extend(decide(shared, row, ex.test, ex.alpha)
+                           for row in batch.tolist())
+            continue
+        slices = _even_slices(batch, ex.num_workers)
+        for chunk in ex.map_slices([(decide, shared, s) for s in slices]):
+            results.extend(chunk)
+    return results
 
 
 def _suff_dim(suff: object) -> int | None:
@@ -510,47 +434,40 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
     graph = complete_graph(p)
     sepsets = SepsetMap()
     level_rows: list[LevelStat] = []
-    peak_in_flight = 0
     with LevelExecutor(cfg.num_workers, test, cfg.alpha) as ex:
         level = 0
         while cfg.max_level is None or level <= cfg.max_level:
             started = time.perf_counter()
-            snapshot = [tuple(graph.neighbors(v)) for v in range(p)]
-            tasks = [
-                EdgeTask(level, i, j, snapshot[i], snapshot[j])
-                for i, j in graph.edges()
-                if len(snapshot[i]) - 1 >= level or len(snapshot[j]) - 1 >= level
-            ]
-            if not tasks:
+            nbrs = [tuple(graph.neighbors(v)) for v in range(p)]
+            degree = graph.adj.sum(axis=1)
+            edges = np.argwhere(np.triu(graph.adj, 1))
+            edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
+            if len(edges) == 0:
                 break
-            plan = plan_batches(tasks, cfg, estimate_task_cost(level, suff))
-            decisions: list[EdgeDecision] = []
-            for batch in plan.batches:
-                peak_in_flight = max(peak_in_flight, len(batch))
-                decisions.extend(run_level_parallel(batch, test, cfg.alpha, cfg,
-                                                    _executor=ex))
-            removals = 0
-            for d in decisions:
-                if d.removed:
-                    graph.remove_edge(d.i, d.j)
-                    sepsets.set(d.i, d.j, d.sepset)
+            results = run_level(ex, decide_edge, (level, nbrs), edges, cfg,
+                                estimate_task_cost(level, suff))
+            tests = removals = 0
+            for (i, j), (sepset, performed) in zip(edges.tolist(), results):
+                tests += performed
+                if sepset is not None:
+                    graph.remove_edge(i, j)
+                    sepsets.set(i, j, sepset)
                     removals += 1
             level_rows.append(LevelStat(
                 level=level,
-                tests=sum(d.tests_performed for d in decisions),
+                tests=tests,
                 removals=removals,
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             ))
             level += 1
 
-        tasks = _search_tasks(graph, sepsets, cfg.max_level)
-        cost = estimate_task_cost(max((t.max_size for t in tasks), default=0), suff)
+        nbrs = [tuple(graph.neighbors(v)) for v in range(p)]
+        rows = _search_rows(graph, sepsets, nbrs, cfg.max_level)
+        cost = estimate_task_cost(int(rows[:, 3].max(initial=0)), suff)
         search_tests = 0
-        for batch in plan_batches(tasks, cfg, cost).batches:
-            peak_in_flight = max(peak_in_flight, len(batch))
-            results = _search_batch(ex, batch, test, cfg.alpha)
-            for t, (found, tests) in zip(batch, results):
-                sepsets.set_search(t.i, t.j, found)
-                search_tests += tests
-    return graph, sepsets, LevelStats(tuple(level_rows), peak_in_flight,
+        for (i, j, _, _), (found, performed) in zip(
+                rows.tolist(), run_level(ex, _search_pair, nbrs, rows, cfg, cost)):
+            sepsets.set_search(i, j, found)
+            search_tests += performed
+    return graph, sepsets, LevelStats(tuple(level_rows), ex.peak_tasks_in_flight,
                                       search_tests)

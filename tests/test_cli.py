@@ -224,6 +224,25 @@ class TestBench:
         assert cmd_bench(cfg) == EXIT_MISMATCH
 
 
+@pytest.mark.parametrize("argv", [
+    ["pc", "--max-level", "-1"],
+    ["pcsimple", "--target", "99"],
+    ["bench", "--algos", "pcsimple", "--target", "99"],
+    ["ida", "--cause", "99", "--outcome", "0"],
+    ["ida", "--cause", "1", "--outcome", "1"],
+    ["gen", "--p", "8", "--density", "0.3", "--n", "0"],
+], ids=["max-level", "pcsimple-target", "bench-target", "ida-cause",
+        "ida-same-pair", "gen-n"])
+def test_bad_flag_value_exits_two(tmp_path, capsys, argv):
+    if argv[0] != "gen":
+        run(["gen", "--output", str(tmp_path / "data"), "--p", "8",
+             "--density", "0.3", "--n", "50", "--seed", "1"])
+        argv = argv + ["--input", str(tmp_path / "data" / "data.csv")]
+    capsys.readouterr()
+    assert run(argv + ["--output", str(tmp_path / "out")]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(CliInputError):

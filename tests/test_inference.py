@@ -1,5 +1,7 @@
 """Tests for PC-simple, IDA, and the linear SEM generators."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stablepc import (
     Cpdag,
     Dag,
     GaussianSuffStat,
+    LevelExecutionError,
     OracleTest,
     SkeletonConfig,
     SkeletonGraph,
@@ -101,6 +104,27 @@ class TestPcSimple:
         dag = Dag(3, [[], [0], [1]])
         with pytest.raises(ValueError):
             pc_simple(dag, OracleTest(dag), 3, 0.01, SkeletonConfig())
+
+    def test_worker_failure_raises(self):
+        stat = GaussianSuffStat(np.eye(4), 100)
+        with pytest.raises(LevelExecutionError):
+            pc_simple(stat, _ExplodingTest(), 0, 0.01, SkeletonConfig(num_workers=2))
+
+    def test_peak_tasks_in_flight_outside_result(self):
+        stat = GaussianSuffStat(np.eye(6), 200)
+        from stablepc import FisherZTest
+        whole = pc_simple(stat, FisherZTest(stat), 0, 0.01, SkeletonConfig())
+        batched = pc_simple(stat, FisherZTest(stat), 0, 0.01,
+                            SkeletonConfig(force_batch_size=2))
+        assert (whole.peak_tasks_in_flight, batched.peak_tasks_in_flight) == (5, 2)
+        assert whole == batched
+        assert "peak_tasks_in_flight" not in whole.to_json_dict()
+
+
+@dataclass(frozen=True)
+class _ExplodingTest:
+    def __call__(self, i, j, s):
+        raise RuntimeError("boom")
 
 
 class TestKnownSupersetBoundary:

@@ -11,7 +11,6 @@ from stablepc import (
     Dag,
     Dataset,
     DiscreteSuffStat,
-    EdgeTask,
     FisherZTest,
     GaussianSuffStat,
     LevelExecutionError,
@@ -21,7 +20,6 @@ from stablepc import (
     estimate_task_cost,
     gaussian_suffstat,
     plan_batches,
-    run_level_parallel,
     skeleton_stable,
 )
 from stablepc.cli import random_weighted_dag
@@ -30,7 +28,9 @@ from stablepc.skeleton import (
     DEFAULT_MEM_BUDGET_BYTES,
     GAUSSIAN_TASK_BASE,
     GAUSSIAN_TASK_CELL,
+    LevelExecutor,
     probe_free_memory,
+    run_level,
 )
 
 
@@ -57,17 +57,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SkeletonConfig(num_workers=0)
 
-    def test_edge_task_requires_ordered_pair(self):
-        with pytest.raises(ValueError):
-            EdgeTask(0, 2, 1, (), ())
-
 
 class TestDecideEdge:
     def test_level_zero_single_test(self):
         stat = GaussianSuffStat(np.eye(3), 100)
-        task = EdgeTask(0, 0, 1, (1, 2), (0, 2))
-        d = decide_edge(task, FisherZTest(stat), 0.01)
-        assert d.removed and d.sepset == () and d.tests_performed == 1
+        sepset, tests = decide_edge((0, [(1, 2), (0, 2)]), (0, 1), FisherZTest(stat), 0.01)
+        assert sepset == () and tests == 1
 
     def test_enumeration_order_i_side_first(self):
         calls = []
@@ -79,17 +74,16 @@ class TestDecideEdge:
                 from stablepc import CiTestOutcome
                 return CiTestOutcome(0.0, 0.0, 0.0)
 
-        task = EdgeTask(1, 0, 1, (1, 2, 4), (0, 3, 4))
-        decide_edge(task, Spy(), 0.01)
+        decide_edge((1, [(1, 2, 4), (0, 3, 4)]), (0, 1), Spy(), 0.01)
         # i's side: neighbors of 0 minus 1 -> (2,), (4,); then j's side:
         # neighbors of 1 minus 0 -> (3,), (4,) with (4,) already covered
         assert calls == [(2,), (4,), (3,)]
 
     def test_dedup_skips_shared_subsets(self):
         stat = GaussianSuffStat(np.eye(5), 100)
-        task = EdgeTask(1, 0, 1, (1, 2, 3), (0, 2, 3))
-        d = decide_edge(task, FisherZTest(stat), 0.01)
-        assert d.removed and d.tests_performed == 1  # first set (2,) accepts
+        sepset, tests = decide_edge((1, [(1, 2, 3), (0, 2, 3)]), (0, 1),
+                                    FisherZTest(stat), 0.01)
+        assert sepset is not None and tests == 1  # first set (2,) accepts
 
     def test_degenerate_counts_as_dependence(self):
         # variables 0 and 2 are copies, so conditioning on {2} is singular;
@@ -99,16 +93,16 @@ class TestDecideEdge:
                          [1.0, 0.49, 1.0, 0.7],
                          [0.7, 0.7, 0.7, 1.0]])
         stat = GaussianSuffStat(corr, 100)
-        task = EdgeTask(1, 0, 1, (1, 2, 3), (0, 2, 3))
-        d = decide_edge(task, FisherZTest(stat), 0.01)
+        sepset, tests = decide_edge((1, [(1, 2, 3), (0, 2, 3)]), (0, 1),
+                                    FisherZTest(stat), 0.01)
         # sets ordered (2,), (3,): (2,) degenerate -> skipped, (3,) accepts
-        assert d.removed and d.sepset == (3,)
-        assert d.tests_performed == 2
+        assert sepset == (3,)
+        assert tests == 2
 
 
 class TestPlanBatches:
     def small_tasks(self, count):
-        return [EdgeTask(0, 0, k + 1, (k + 1,), (0,)) for k in range(count)]
+        return np.array([(0, k + 1) for k in range(count)], dtype=np.int64)
 
     def test_single_batch_without_mem_flag(self):
         plan = plan_batches(self.small_tasks(1000), SkeletonConfig(), 64)
@@ -122,8 +116,7 @@ class TestPlanBatches:
         # per worker: 1024 // (64*2) = 8 -> batch size 16
         sizes = [len(b) for b in plan.batches]
         assert sizes == [16] * 6 + [4]
-        flat = [t for b in plan.batches for t in b]
-        assert flat == tasks
+        assert np.array_equal(np.concatenate(plan.batches), tasks)
 
     def test_budget_floor_is_one_per_worker(self):
         cfg = SkeletonConfig(mem_efficient=True, mem_budget_bytes=1,
@@ -177,35 +170,48 @@ class TestEstimateTaskCost:
         assert free is None or free > 0
 
 
+def run_engine(decide, shared, rows, test, workers):
+    """``run_level`` on a fresh executor with ``workers`` workers."""
+    with LevelExecutor(workers, test, 0.01) as ex:
+        return run_level(ex, decide, shared, rows,
+                         SkeletonConfig(num_workers=workers), 64)
+
+
+def _echo_row(shared, row, test, alpha):
+    return tuple(row)
+
+
 class TestRunLevelParallel:
-    def make_tasks(self, p=8, seed=1):
+    """The level engine, driven with the skeleton's level-1 edge tasks."""
+
+    def make_level(self, p=8, seed=1):
         suff = gaussian_case(seed, p=p)
-        nbrs = tuple(tuple(v for v in range(p) if v != u) for u in range(p))
-        tasks = [EdgeTask(1, i, j, nbrs[i], nbrs[j])
-                 for i in range(p) for j in range(i + 1, p)]
-        return tasks, FisherZTest(suff)
+        nbrs = [tuple(v for v in range(p) if v != u) for u in range(p)]
+        rows = np.array([(i, j) for i in range(p) for j in range(i + 1, p)],
+                        dtype=np.int64)
+        return (1, nbrs), rows, FisherZTest(suff)
 
     def test_worker_counts_agree(self):
-        tasks, test = self.make_tasks()
-        reference = run_level_parallel(tasks, test, 0.01, SkeletonConfig(num_workers=1))
+        shared, rows, test = self.make_level()
+        reference = run_engine(decide_edge, shared, rows, test, 1)
+        assert reference == [decide_edge(shared, row, test, 0.01)
+                             for row in rows.tolist()]
         for workers in (2, 4, 8):
-            got = run_level_parallel(tasks, test, 0.01,
-                                     SkeletonConfig(num_workers=workers))
-            assert got == reference
+            assert run_engine(decide_edge, shared, rows, test, workers) == reference
 
     def test_result_order_matches_input(self):
-        tasks, test = self.make_tasks()
-        out = run_level_parallel(tasks, test, 0.01, SkeletonConfig(num_workers=3))
-        assert [(d.i, d.j) for d in out] == [(t.i, t.j) for t in tasks]
+        shared, rows, test = self.make_level()
+        out = run_engine(_echo_row, shared, rows, test, 3)
+        assert out == [tuple(row) for row in rows.tolist()]
 
     def test_empty_tasks(self):
-        assert run_level_parallel([], None, 0.01, SkeletonConfig(num_workers=4)) == []
+        rows = np.empty((0, 2), dtype=np.int64)
+        assert run_engine(decide_edge, (0, []), rows, None, 4) == []
 
     def test_worker_failure_aborts_level(self):
-        tasks, _ = self.make_tasks(p=4)
+        shared, rows, _ = self.make_level(p=4)
         with pytest.raises(LevelExecutionError):
-            run_level_parallel(tasks, _ExplodingTest(), 0.01,
-                               SkeletonConfig(num_workers=2))
+            run_engine(decide_edge, shared, rows, _ExplodingTest(), 2)
 
 
 @dataclass(frozen=True)

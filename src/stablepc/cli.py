@@ -4,6 +4,12 @@ Subcommands: ``gen`` (synthetic dataset + ground truth), ``skeleton``,
 ``pc``, ``pcsimple``, ``ida``, and ``bench`` (sequential vs parallel vs
 memory-efficient comparison with a result-digest equality gate).
 
+``skeleton``, ``pc``, ``pcsimple`` and ``ida`` are one command: each runs
+``run_pipeline`` on the ingested input and writes the files it returns.
+``bench`` times the same call per variant and digests those files, all but
+the wall-clock ``levelstats.json``.  Each flag's argparse ``dest`` is the name
+of its ``RunConfig`` field, and a flag left out keeps that field's default.
+
 Exit codes: 0 success, 2 input validation, 3 degenerate statistics,
 4 result-equivalence violation in bench.
 """
@@ -32,16 +38,10 @@ from .data import (
     sample_covariance,
     write_csv,
 )
-from .graphs import Cpdag, Dag, GraphError, SepsetMap, SkeletonGraph, dag_from_json_dict
-from .inference import (
-    EffectMultiset,
-    ida_effects,
-    linear_sem_population_cov,
-    linear_sem_sample,
-    pc_simple,
-)
+from .graphs import Dag, GraphError, dag_from_json_dict
+from .inference import ida_effects, linear_sem_population_cov, linear_sem_sample, pc_simple
 from .orientation import meek_closure, orient_v_structures
-from .skeleton import LevelExecutionError, LevelStats, SkeletonConfig, skeleton_stable
+from .skeleton import LevelExecutionError, SkeletonConfig, skeleton_stable
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -78,19 +78,12 @@ class RunConfig:
     algos: tuple[str, ...] = ("pc",)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise CliInputError(f"--alpha must be in (0, 1), got {self.alpha}")
-        if self.num_workers < 1:
-            raise CliInputError("--num-workers must be at least 1")
         if self.indep_test not in TEST_IDS:
             raise CliInputError(
                 f"--indep-test must be one of {TEST_IDS}, got '{self.indep_test}'")
-        if isinstance(self.mem_budget, int) and self.mem_budget < 1:
-            raise CliInputError("--mem-budget must be positive")
         if isinstance(self.mem_budget, str) and self.mem_budget != "auto":
-            raise CliInputError("--mem-budget takes a byte count or 'auto'")
-        if self.max_level is not None and self.max_level < 0:
-            raise CliInputError(f"--max-level must be nonnegative, got {self.max_level}")
+            raise CliInputError(
+                f"--mem-budget takes a byte count or 'auto', got '{self.mem_budget}'")
         if self.gen_n is not None and self.gen_n < 1:
             raise CliInputError(f"--n must be at least 1, got {self.gen_n}")
         if self.cause is not None and self.cause == self.outcome:
@@ -98,16 +91,29 @@ class RunConfig:
         for a in self.algos:
             if a not in BENCH_ALGOS:
                 raise CliInputError(f"unknown bench algorithm '{a}'")
+        runs = self.algos if self.command == "bench" else (self.command,)
+        if "pcsimple" in runs and self.target is None:
+            raise CliInputError("pcsimple requires --target")
+        if "ida" in runs and (self.cause is None or self.outcome is None):
+            raise CliInputError("ida requires --cause and --outcome")
+        try:
+            self.skeleton_config()
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from None
 
     def skeleton_config(self, *, num_workers: int | None = None,
                         mem_efficient: bool | None = None) -> SkeletonConfig:
+        """The engine's config; a given ``--mem-budget`` turns batching on
+        unless ``mem_efficient`` says otherwise."""
         budget = self.mem_budget if isinstance(self.mem_budget, int) else None
         probe = self.mem_budget == "auto"
+        if mem_efficient is None:
+            mem_efficient = self.mem_efficient or self.mem_budget is not None
         return SkeletonConfig(
             alpha=self.alpha,
             max_level=self.max_level,
             num_workers=self.num_workers if num_workers is None else num_workers,
-            mem_efficient=self.mem_efficient if mem_efficient is None else mem_efficient,
+            mem_efficient=mem_efficient,
             mem_budget_bytes=budget,
             mem_probe=probe,
         )
@@ -170,15 +176,31 @@ def _load_truth(path: Path) -> tuple[Dag, dict[tuple[int, int], float] | None]:
     return dag, weights
 
 
-def _prepare_inputs(cfg: RunConfig) -> tuple[object, object, int, Dataset | None, Dag | None]:
-    """Resolve (suff, test, p, dataset, dag) for the configured CI test and
-    check the variable-index flags against p."""
+def _generate(cfg: RunConfig, csv_path: Path) -> tuple[Dag, dict[tuple[int, int], float]]:
+    """Sample the configured random weighted DAG and write its dataset."""
+    if cfg.gen_p is None or cfg.gen_density is None or cfg.gen_n is None:
+        raise CliInputError(
+            f"{cfg.command} needs --input or a generator spec (p, density and n)")
+    rng = np.random.default_rng(cfg.seed)
+    dag, weights = random_weighted_dag(cfg.gen_p, cfg.gen_density, rng)
+    write_csv(linear_sem_sample(dag, weights, cfg.gen_n, noise_seed=cfg.seed), csv_path)
+    return dag, weights
+
+
+Inputs = tuple[object, object, int, Dataset | None, dict[tuple[int, int], float] | None]
+
+
+def _prepare_inputs(cfg: RunConfig) -> Inputs:
+    """Resolve (suff, test, p, dataset, weights) for the configured CI test
+    and check the variable-index flags against p.  Under the oracle, suff is
+    the truth DAG, dataset is None and weights are its edge weights, if the
+    file has them."""
     if cfg.input is None:
         raise CliInputError("--input is required")
-    dataset = dag = None
+    dataset = weights = None
     if cfg.indep_test == "oracle":
-        dag, _ = _load_truth(cfg.input)
-        suff, test, p = dag, make_citest("oracle", dag=dag), dag.p
+        suff, weights = _load_truth(cfg.input)
+        test, p = make_citest("oracle", dag=suff), suff.p
     elif cfg.indep_test in ("fisher-z", "mi-g"):
         dataset = load_csv(cfg.input, "continuous")
         suff = gaussian_suffstat(dataset)
@@ -191,126 +213,75 @@ def _prepare_inputs(cfg: RunConfig) -> tuple[object, object, int, Dataset | None
                     ("--outcome", cfg.outcome)):
         if v is not None and not 0 <= v < p:
             raise CliInputError(f"{flag} {v} out of range [0, {p})")
-    return suff, test, p, dataset, dag
+    return suff, test, p, dataset, weights
 
 
-def _learn_cpdag(suff: object, test: object, p: int, scfg: SkeletonConfig
-                 ) -> tuple[SkeletonGraph, SepsetMap, LevelStats, Cpdag]:
-    """The `pc` pipeline: stable skeleton, v-structures, Meek's rules."""
+def run_pipeline(cfg: RunConfig, algo: str, inputs: Inputs, scfg: SkeletonConfig
+                 ) -> tuple[dict[str, object], int]:
+    """Run one of ``skeleton``, ``pc``, ``pcsimple`` or ``ida`` on prepared
+    inputs with the engine config ``scfg``.
+
+    Returns the output files, each name mapped to its JSON payload, and the
+    peak number of tasks in flight.  ``levelstats.json`` holds wall-clock
+    readings; every other payload depends only on the inputs and the flags.
+    IDA uses the sample covariance of the dataset, or under the oracle the
+    population covariance of the weighted truth.
+    """
+    suff, test, p, dataset, weights = inputs
+    if algo == "pcsimple":
+        result = pc_simple(suff, test, cfg.target, scfg.alpha, scfg)
+        return {"pcsimple.json": result.to_json_dict()}, result.peak_tasks_in_flight
     graph, seps, stats = skeleton_stable(suff, test, p, scfg)
-    return graph, seps, stats, meek_closure(orient_v_structures(graph, seps))
-
-
-def _ida(cfg: RunConfig, cpdag: Cpdag, dataset: Dataset | None,
-         dag: Dag | None) -> EffectMultiset:
-    """IDA on the learned CPDAG: the sample covariance of the dataset, or the
-    population covariance of the weighted truth under the oracle."""
-    if dataset is not None:
-        cov = sample_covariance(dataset)
-    else:
-        _, weights = _load_truth(cfg.input)
-        if weights is None:
+    peak = stats.peak_tasks_in_flight
+    cpdag = None if algo == "skeleton" else meek_closure(orient_v_structures(graph, seps))
+    if algo == "ida":
+        if dataset is not None:
+            cov = sample_covariance(dataset)
+        elif weights is not None:
+            cov = linear_sem_population_cov(suff, weights)
+        else:
             raise CliInputError(
                 "oracle ida needs edge weights in the truth file to form a covariance")
-        cov = linear_sem_population_cov(dag, weights)
-    return ida_effects(cpdag, cov, cfg.cause, cfg.outcome)
-
-
-def _pc_payload(graph: SkeletonGraph, seps: SepsetMap, cpdag: Cpdag) -> dict:
-    return {"skeleton": graph.to_json_dict(), "sepsets": seps.to_json_dict(),
-            "cpdag": cpdag.to_json_dict()}
+        effects = ida_effects(cpdag, cov, cfg.cause, cfg.outcome)
+        return {"ida.json": effects.to_json_dict()}, peak
+    files = {"skeleton.json": graph.to_json_dict(), "sepsets.json": seps.to_json_dict(),
+             "levelstats.json": stats.to_json_list()}
+    if cpdag is not None:
+        files["cpdag.json"] = cpdag.to_json_dict()
+    return files, peak
 
 
 def cmd_gen(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    if cfg.gen_p is None or cfg.gen_density is None or cfg.gen_n is None:
-        raise CliInputError("gen requires --p, --density and --n")
-    rng = np.random.default_rng(cfg.seed)
-    dag, weights = random_weighted_dag(cfg.gen_p, cfg.gen_density, rng)
-    dataset = linear_sem_sample(dag, weights, cfg.gen_n, noise_seed=cfg.seed)
-    write_csv(dataset, out / "data.csv")
+    dag, weights = _generate(cfg, out / "data.csv")
     _write_json(out / "truth.json", _truth_json_dict(dag, weights))
     return EXIT_OK
 
 
-def cmd_skeleton(cfg: RunConfig) -> int:
+def cmd_pipeline(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    suff, test, p, _, _ = _prepare_inputs(cfg)
-    graph, seps, stats = skeleton_stable(suff, test, p, cfg.skeleton_config())
-    _write_json(out / "skeleton.json", graph.to_json_dict())
-    _write_json(out / "sepsets.json", seps.to_json_dict())
-    _write_json(out / "levelstats.json", stats.to_json_list())
+    files, _ = run_pipeline(cfg, cfg.command, _prepare_inputs(cfg), cfg.skeleton_config())
+    for name, payload in files.items():
+        _write_json(out / name, payload)
     return EXIT_OK
-
-
-def cmd_pc(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    suff, test, p, _, _ = _prepare_inputs(cfg)
-    graph, seps, stats, cpdag = _learn_cpdag(suff, test, p, cfg.skeleton_config())
-    _write_json(out / "skeleton.json", graph.to_json_dict())
-    _write_json(out / "sepsets.json", seps.to_json_dict())
-    _write_json(out / "cpdag.json", cpdag.to_json_dict())
-    _write_json(out / "levelstats.json", stats.to_json_list())
-    return EXIT_OK
-
-
-def cmd_pcsimple(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    if cfg.target is None:
-        raise CliInputError("pcsimple requires --target")
-    suff, test, p, _, _ = _prepare_inputs(cfg)
-    result = pc_simple(suff, test, cfg.target, cfg.alpha, cfg.skeleton_config())
-    _write_json(out / "pcsimple.json", result.to_json_dict())
-    return EXIT_OK
-
-
-def cmd_ida(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    if cfg.cause is None or cfg.outcome is None:
-        raise CliInputError("ida requires --cause and --outcome")
-    suff, test, p, dataset, dag = _prepare_inputs(cfg)
-    *_, cpdag = _learn_cpdag(suff, test, p, cfg.skeleton_config())
-    _write_json(out / "ida.json", _ida(cfg, cpdag, dataset, dag).to_json_dict())
-    return EXIT_OK
-
-
-def _bench_dataset(cfg: RunConfig) -> RunConfig:
-    """Materialize the generator spec into an input CSV when no input given."""
-    if cfg.input is not None:
-        return cfg
-    if cfg.gen_p is None or cfg.gen_density is None or cfg.gen_n is None:
-        raise CliInputError("bench needs --input or --gen-p/--gen-density/--gen-n")
-    out = _outdir(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    dag, weights = random_weighted_dag(cfg.gen_p, cfg.gen_density, rng)
-    dataset = linear_sem_sample(dag, weights, cfg.gen_n, noise_seed=cfg.seed)
-    path = out / "bench_data.csv"
-    write_csv(dataset, path)
-    return dataclasses.replace(cfg, input=path)
 
 
 def _run_bench_algo(cfg: RunConfig, algo: str, workers: int,
                     mem_efficient: bool) -> tuple[float, int, str]:
-    suff, test, p, dataset, dag = _prepare_inputs(cfg)
+    inputs = _prepare_inputs(cfg)
     scfg = cfg.skeleton_config(num_workers=workers, mem_efficient=mem_efficient)
     started = time.perf_counter()
-    if algo == "pcsimple":
-        result = pc_simple(suff, test, cfg.target, cfg.alpha, scfg)
-        peak, payload = result.peak_tasks_in_flight, result.to_json_dict()
-    else:
-        graph, seps, stats, cpdag = _learn_cpdag(suff, test, p, scfg)
-        peak = stats.peak_tasks_in_flight
-        if algo == "pc":
-            payload = _pc_payload(graph, seps, cpdag)
-        else:
-            payload = _ida(cfg, cpdag, dataset, dag).to_json_dict()
+    files, peak = run_pipeline(cfg, algo, inputs, scfg)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    return wall_ms, peak, result_digest(payload)
+    files.pop("levelstats.json", None)
+    return wall_ms, peak, result_digest(files)
 
 
 def cmd_bench(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    cfg = _bench_dataset(cfg)
+    if cfg.input is None:
+        _generate(cfg, out / "bench_data.csv")
+        cfg = dataclasses.replace(cfg, input=out / "bench_data.csv")
     variants = (
         ("sequential", 1, False),
         ("parallel", cfg.num_workers, False),
@@ -345,6 +316,19 @@ def cmd_bench(cfg: RunConfig) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
+def _algo_list(text: str) -> tuple[str, ...]:
+    return tuple(a.strip() for a in text.split(",") if a.strip())
+
+
+def _byte_count_or_text(text: str) -> int | str:
+    # Text that is not a byte count is left for RunConfig to accept ('auto')
+    # or reject with exit code 2.
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablepc",
@@ -352,92 +336,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        if needs_input:
-            sp.add_argument("--input", type=Path, required=False,
-                            help="CSV dataset (truth JSON for --indep-test oracle)")
-        sp.add_argument("--output", type=Path, required=True,
-                        help="output directory")
-        sp.add_argument("--indep-test", default="fisher-z", choices=TEST_IDS)
-        sp.add_argument("--alpha", type=float, default=0.01)
-        sp.add_argument("--num-workers", type=int, default=2)
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        # A flag left out stays out of the namespace, so RunConfig's default
+        # is the only one.
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--output", type=Path, required=True, help="output directory")
+        sp.add_argument("--seed", type=int)
+        return sp
+
+    def pipeline(name: str, help_text: str) -> argparse.ArgumentParser:
+        sp = command(name, help_text)
+        sp.add_argument("--input", type=Path,
+                        help="CSV dataset (truth JSON for --indep-test oracle)")
+        sp.add_argument("--indep-test", choices=TEST_IDS)
+        sp.add_argument("--alpha", type=float)
+        sp.add_argument("--num-workers", type=int)
         sp.add_argument("--mem-efficient", action="store_true")
-        sp.add_argument("--mem-budget", default=None,
+        sp.add_argument("--mem-budget", type=_byte_count_or_text,
                         help="batching byte budget, or 'auto' to probe free memory")
-        sp.add_argument("--max-level", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--max-level", type=int)
+        return sp
 
-    sp = sub.add_parser("gen", help="generate a synthetic dataset with ground truth")
-    sp.add_argument("--output", type=Path, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--density", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = command("gen", "generate a synthetic dataset with ground truth")
+    sp.add_argument("--p", dest="gen_p", metavar="P", type=int, required=True)
+    sp.add_argument("--density", dest="gen_density", metavar="DENSITY", type=float,
+                    required=True)
+    sp.add_argument("--n", dest="gen_n", metavar="N", type=int, required=True)
 
-    sp = sub.add_parser("skeleton", help="learn the undirected skeleton")
-    common(sp)
+    pipeline("skeleton", "learn the undirected skeleton")
+    pipeline("pc", "full pipeline: skeleton + orientation")
 
-    sp = sub.add_parser("pc", help="full pipeline: skeleton + orientation")
-    common(sp)
-
-    sp = sub.add_parser("pcsimple", help="parents and children of one target")
-    common(sp)
+    sp = pipeline("pcsimple", "parents and children of one target")
     sp.add_argument("--target", type=int, required=True)
 
-    sp = sub.add_parser("ida", help="possible causal effects of cause on outcome")
-    common(sp)
+    sp = pipeline("ida", "possible causal effects of cause on outcome")
     sp.add_argument("--cause", type=int, required=True)
     sp.add_argument("--outcome", type=int, required=True)
 
-    sp = sub.add_parser("bench", help="sequential vs parallel comparison")
-    common(sp)
-    sp.add_argument("--algos", default="pc",
+    sp = pipeline("bench", "sequential vs parallel comparison")
+    sp.add_argument("--algos", type=_algo_list,
                     help="comma-separated subset of pc,pcsimple,ida")
-    sp.add_argument("--gen-p", type=int, default=None)
-    sp.add_argument("--gen-density", type=float, default=None)
-    sp.add_argument("--gen-n", type=int, default=None)
+    sp.add_argument("--gen-p", type=int)
+    sp.add_argument("--gen-density", type=float)
+    sp.add_argument("--gen-n", type=int)
     sp.add_argument("--target", type=int, default=0)
     sp.add_argument("--cause", type=int, default=0)
     sp.add_argument("--outcome", type=int, default=1)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    budget = getattr(args, "mem_budget", None)
-    if budget is not None and budget != "auto":
-        try:
-            budget = int(budget)
-        except ValueError:
-            raise CliInputError(
-                f"--mem-budget takes a byte count or 'auto', got '{budget}'") from None
-    algos = getattr(args, "algos", "pc")
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        indep_test=getattr(args, "indep_test", "fisher-z"),
-        alpha=getattr(args, "alpha", 0.01),
-        num_workers=getattr(args, "num_workers", 2),
-        mem_efficient=getattr(args, "mem_efficient", False),
-        mem_budget=budget,
-        max_level=getattr(args, "max_level", None),
-        target=getattr(args, "target", None),
-        cause=getattr(args, "cause", None),
-        outcome=getattr(args, "outcome", None),
-        seed=getattr(args, "seed", 0),
-        gen_p=getattr(args, "gen_p", None) or getattr(args, "p", None),
-        gen_density=getattr(args, "gen_density", None) or getattr(args, "density", None),
-        gen_n=getattr(args, "gen_n", None) or getattr(args, "n", None),
-        algos=tuple(a.strip() for a in algos.split(",") if a.strip()),
-    )
-
-
 COMMANDS = {
     "gen": cmd_gen,
-    "skeleton": cmd_skeleton,
-    "pc": cmd_pc,
-    "pcsimple": cmd_pcsimple,
-    "ida": cmd_ida,
+    "skeleton": cmd_pipeline,
+    "pc": cmd_pipeline,
+    "pcsimple": cmd_pipeline,
+    "ida": cmd_pipeline,
     "bench": cmd_bench,
 }
 
@@ -446,7 +399,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(args))
         return COMMANDS[cfg.command](cfg)
     except (CliInputError, DatasetError, GraphError, FileNotFoundError,
             json.JSONDecodeError) as exc:

@@ -116,8 +116,11 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
     remaining candidate against the target given all same-level subsets of
     the level-start candidate pool (in parallel over candidates), and
     removals apply at level end.  Stops once the level reaches the pool
-    size.
+    size.  ``alpha`` must equal ``cfg.alpha``; the engine's workers test at
+    ``alpha``, so a config with another level is rejected, not ignored.
     """
+    if alpha != cfg.alpha:
+        raise ValueError(f"alpha {alpha} differs from cfg.alpha {cfg.alpha}")
     p = getattr(suff, "p", None)
     if not isinstance(p, int):
         raise ValueError("sufficient statistic does not expose a variable count")

@@ -18,6 +18,7 @@ from stablepc.cli import (
     run,
 )
 from stablepc.graphs import dag_from_json_dict
+from stablepc.skeleton import plan_batches
 
 
 def read_json(path):
@@ -205,13 +206,32 @@ class TestBench:
                                       "wall_ms", "peak_tasks_in_flight",
                                       "result_digest"]
         assert len(tsv) == 10
+        # Each digest covers exactly the files the matching command writes,
+        # all but the wall-clock levelstats.json.
+        for algo, query in (("pc", []), ("pcsimple", ["--target", "1"]),
+                            ("ida", ["--cause", "0", "--outcome", "2"])):
+            cmd_out = tmp_path / algo
+            assert run([algo, "--input", str(path), "--output", str(cmd_out),
+                        *query]) == EXIT_OK
+            names = sorted(f.name for f in cmd_out.iterdir() if f.name != "levelstats.json")
+            digest = result_digest({name: read_json(cmd_out / name) for name in names})
+            assert {r["result_digest"] for r in rows if r["algorithm"] == algo} == \
+                {digest}, algo
 
     def test_generator_spec(self, tmp_path):
-        out = tmp_path / "bench"
-        code = run(["bench", "--output", str(out), "--gen-p", "12",
-                    "--gen-density", "0.15", "--gen-n", "200", "--seed", "4"])
-        assert code == EXIT_OK
-        assert (out / "bench_data.csv").exists()
+        # A zero density is a given value, not an absent one.
+        for density in ("0.15", "0"):
+            out = tmp_path / f"bench{density}"
+            code = run(["bench", "--output", str(out), "--gen-p", "12",
+                        "--gen-density", density, "--gen-n", "200", "--seed", "4"])
+            assert code == EXIT_OK, density
+            assert (out / "bench_data.csv").exists()
+
+    def test_generator_zero_n_is_range_error(self, tmp_path, capsys):
+        code = run(["bench", "--output", str(tmp_path), "--gen-p", "12",
+                    "--gen-density", "0.15", "--gen-n", "0"])
+        assert code == EXIT_INPUT
+        assert "--n must be at least 1" in capsys.readouterr().err
 
     def test_mismatch_exit_code(self, tmp_path, monkeypatch):
         import stablepc.cli as cli_mod
@@ -251,6 +271,10 @@ class TestRunConfig:
             RunConfig(command="pc", num_workers=0)
         with pytest.raises(CliInputError):
             RunConfig(command="bench", algos=("nope",))
+
+    def test_given_mem_budget_turns_batching_on(self):
+        scfg = RunConfig(command="pc", mem_budget=1, num_workers=1).skeleton_config()
+        assert len(plan_batches(np.arange(1000), scfg, per_task_cost=8).batches) > 1
 
     def test_digest_is_order_insensitive_for_dicts(self):
         a = result_digest({"x": 1, "y": [1, 2]})

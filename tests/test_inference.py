@@ -105,6 +105,12 @@ class TestPcSimple:
         with pytest.raises(ValueError):
             pc_simple(dag, OracleTest(dag), 3, 0.01, SkeletonConfig())
 
+    def test_alpha_must_match_cfg(self):
+        from stablepc import FisherZTest
+        stat = GaussianSuffStat(np.eye(4), 100)
+        with pytest.raises(ValueError, match="cfg.alpha"):
+            pc_simple(stat, FisherZTest(stat), 0, 0.9, SkeletonConfig(alpha=0.01))
+
     def test_worker_failure_raises(self):
         stat = GaussianSuffStat(np.eye(4), 100)
         with pytest.raises(LevelExecutionError):

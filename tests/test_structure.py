@@ -1,0 +1,45 @@
+"""Structure checks on the package source: no private reach-ins.
+
+A module of ``stablepc`` may import another module's public names only; an
+underscore name is that module's own business.  Dunder names such as
+``__version__`` are public.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stablepc"
+
+
+def private_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) for each underscore name imported from the
+    package: relative imports, or absolute ones of ``stablepc``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "stablepc":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.endswith("__"):
+                found.append((node.lineno, "." * node.level + module, alias.name))
+    return found
+
+
+def test_detector_flags_private_names():
+    source = ("from .skeleton import _WORKER_CONTEXT, run_level\n"
+              "from stablepc.graphs import _helper\n"
+              "from . import __version__\n"
+              "from numpy import _private\n")
+    assert private_imports(source) == [(1, ".skeleton", "_WORKER_CONTEXT"),
+                                       (2, "stablepc.graphs", "_helper")]
+
+
+def test_no_module_imports_a_private_name():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, PACKAGE
+    reach_ins = [f"{path.name}:{line}: from {module} import {name}"
+                 for path in modules
+                 for line, module, name in private_imports(path.read_text(encoding="utf-8"))]
+    assert reach_ins == []

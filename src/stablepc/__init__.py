@@ -60,7 +60,7 @@ from .skeleton import (
     LevelStat,
     LevelStats,
     SkeletonConfig,
-    decide_edge,
+    decide_edges,
     estimate_task_cost,
     plan_batches,
     skeleton_stable,
@@ -102,7 +102,7 @@ __all__ = [
     "complete_graph",
     "cpdag_from_dag",
     "d_separated",
-    "decide_edge",
+    "decide_edges",
     "discrete_suffstat",
     "estimate_task_cost",
     "gaussian_suffstat",

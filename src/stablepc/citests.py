@@ -7,6 +7,12 @@ any number of workers concurrently.  Four concrete tests are provided
 G-squared and Pearson chi-squared tests for discrete data) plus an exact
 d-separation oracle used for verification.  The callable contract is the
 extension point for further tests.
+
+A test may also offer ``pvalues(i, j, s) -> ndarray``, the batched form the
+skeleton engine prefers: int arrays of shapes (m,), (m,) and (m, l) in, one
+p-value per row out, NaN where the scalar call would raise
+``DegenerateConditioningError``.  The two Gaussian tests offer it, and their
+batched p-values are bit-identical to the scalar ones.
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ class CiTest(Protocol):
     def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome: ...
 
 
+# The scalar path's own libm calls, applied elementwise, so that batched
+# p-values match scalar ones bit for bit (numpy's and scipy's vectorized
+# atanh, erfc and log differ from them in the last digits).
+_atanh = np.frompyfunc(math.atanh, 1, 1)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_log = np.frompyfunc(math.log, 1, 1)
+
+
 def normal_sf(z: float) -> float:
     """Upper tail of the standard normal, via erfc."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -82,6 +96,25 @@ def _validate_triplet(p: int, i: int, j: int, s: Sequence[int]) -> tuple[int, ..
     return s
 
 
+def _validate_rows(p: int, i: object, j: object,
+                   s: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_validate_triplet`` for every row at once: the first bad row raises
+    the scalar call's error.  Returns i, j and s as int64 arrays."""
+    i, j, s = np.asarray(i), np.asarray(j), np.asarray(s)
+    if i.ndim != 1 or j.shape != i.shape or s.ndim != 2 or len(s) != len(i):
+        raise ValueError("index arrays must have shapes (m,), (m,) and (m, l)")
+    if any(a.size and a.dtype.kind not in "iu" for a in (i, j, s)):
+        raise ValueError("variable indices must be integers")
+    i, j, s = (a.astype(np.int64, copy=False) for a in (i, j, s))
+    ordered = np.sort(np.concatenate((i[:, None], j[:, None], s), axis=1), axis=1)
+    bad = ((ordered[:, 0] < 0) | (ordered[:, -1] >= p)
+           | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if bad.any():
+        k = int(bad.argmax())
+        _validate_triplet(p, int(i[k]), int(j[k]), s[k].tolist())
+    return i, j, s
+
+
 def partial_correlation(stat: GaussianSuffStat, i: int, j: int, s: Sequence[int]) -> float:
     """Partial correlation of i and j given s.
 
@@ -108,6 +141,40 @@ def partial_correlation(stat: GaussianSuffStat, i: int, j: int, s: Sequence[int]
     return min(1.0, max(-1.0, float(r)))
 
 
+def _inverse_or_nan(sub: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(sub)
+    except np.linalg.LinAlgError:
+        return np.full_like(sub, np.nan)
+
+
+def _partial_correlations(stat: GaussianSuffStat, i: object, j: object,
+                          s: object) -> np.ndarray:
+    """``partial_correlation`` of every row, NaN where it raises
+    DegenerateConditioningError.
+
+    The rows' submatrices, in the scalar call's canonical order, are
+    inverted as one stack; if one of them is exactly singular the stack is
+    inverted matrix by matrix instead.  Each matrix takes the scalar call's
+    LAPACK path, so every value is bit-identical to the scalar one.
+    """
+    i, j, s = _validate_rows(stat.p, i, j, s)
+    if s.shape[1] == 0:
+        return stat.corr[i, j]
+    idx = np.concatenate((np.minimum(i, j)[:, None], np.maximum(i, j)[:, None],
+                          np.sort(s, axis=1)), axis=1)
+    sub = stat.corr[idx[:, :, None], idx[:, None, :]]
+    try:
+        prec = np.linalg.inv(sub)
+    except np.linalg.LinAlgError:
+        prec = np.stack([_inverse_or_nan(m) for m in sub])
+    denom = prec[:, 0, 0] * prec[:, 1, 1]
+    ok = np.isfinite(prec).all(axis=(1, 2)) & (denom > 0)
+    r = np.full(len(i), np.nan)
+    r[ok] = -prec[ok, 0, 1] / np.sqrt(denom[ok])
+    return np.minimum(1.0, np.maximum(-1.0, r))
+
+
 @dataclass(frozen=True)
 class FisherZTest:
     """Fisher z transform of the partial correlation, standard normal tail.
@@ -127,6 +194,17 @@ class FisherZTest:
         z = math.sqrt(effective) * math.atanh(clamped)
         return CiTestOutcome(z, 2.0 * normal_sf(abs(z)), 0.0)
 
+    def pvalues(self, i: object, j: object, s: object) -> np.ndarray:
+        """One p-value per row of (i, j, s), NaN for a degenerate set; each
+        equals the scalar call's bit for bit."""
+        r = _partial_correlations(self.stat, i, j, s)
+        effective = self.stat.n - np.shape(s)[1] - 3
+        if effective <= 0:
+            return np.where(np.isnan(r), np.nan, 1.0)
+        clamped = np.copysign(np.minimum(np.abs(r), ATANH_CLAMP), r)
+        z = math.sqrt(effective) * _atanh(clamped).astype(float)
+        return 2.0 * (0.5 * _erfc(np.abs(z) / math.sqrt(2.0)).astype(float))
+
 
 @dataclass(frozen=True)
 class GaussianMiTest:
@@ -141,6 +219,18 @@ class GaussianMiTest:
             return CiTestOutcome(math.inf, 0.0, 1.0)
         g = -self.stat.n * math.log(rem)
         return CiTestOutcome(g, chi2_sf(g, 1.0), 1.0)
+
+    def pvalues(self, i: object, j: object, s: object) -> np.ndarray:
+        """One p-value per row of (i, j, s), NaN for a degenerate set; each
+        equals the scalar call's bit for bit."""
+        r = _partial_correlations(self.stat, i, j, s)
+        rem = 1.0 - r * r
+        out = np.where(rem <= 0.0, 0.0, np.nan)
+        live = rem > 0.0
+        g = -self.stat.n * _log(rem[live]).astype(float)
+        # chi2_sf(g, 1.0): the upper tail is 1 at g <= 0
+        out[live] = np.where(g > 0.0, gammaincc(0.5, g / 2.0), 1.0)
+        return out
 
 
 def _contingency(stat: DiscreteSuffStat, i: int, j: int,

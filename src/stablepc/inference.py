@@ -2,7 +2,7 @@
 
 ``pc_simple`` runs the level-synchronized candidate elimination around one
 target variable as a client of the skeleton module's level engine: each
-level's candidates are task rows, decided by ``decide_candidate`` against
+level's candidates are task rows, decided by ``decide_candidates`` against
 the level-start candidate pool.
 ``ida_effects`` enumerates the admissible parent sets of a cause in a CPDAG
 and reports one regression-adjusted total effect per set.  The linear SEM
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -81,17 +81,23 @@ class EffectMultiset:
         }
 
 
-def decide_candidate(shared: tuple[int, int, tuple[int, ...]], row: Sequence[int],
-                     test: CiTest, alpha: float) -> tuple[bool, float, int]:
-    """Test one candidate against the target for every same-level subset of
-    the level-start pool; the first acceptance marks it for removal.
+def decide_candidates(shared: tuple[int, int, tuple[int, ...]], rows: np.ndarray,
+                      test: CiTest, alpha: float) -> list[tuple[bool, float, int]]:
+    """Test each candidate of a block against the target for every
+    same-level subset of the level-start pool; the first acceptance marks it
+    for removal.
 
-    ``shared`` is (level, target, pool) and ``row`` is the candidate (x,).
-    Returns whether x goes, the largest p-value seen (the accepting one when
-    it goes) and the number of tests run.
+    ``shared`` is (level, target, pool) and each row is a candidate (x,).
+    Returns per candidate whether x goes, the largest p-value seen (the
+    accepting one when it goes) and the number of tests run.
     """
     level, target, pool = shared
-    (x,) = row
+    return [_decide_candidate(level, target, pool, x, test, alpha)
+            for (x,) in rows.tolist()]
+
+
+def _decide_candidate(level: int, target: int, pool: tuple[int, ...], x: int,
+                      test: CiTest, alpha: float) -> tuple[bool, float, int]:
     others = tuple(v for v in pool if v != x)
     largest = 0.0
     tests = 0
@@ -132,7 +138,7 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
         level = 0
         while level < len(candidates) and (cfg.max_level is None or level <= cfg.max_level):
             rows = np.array(candidates, dtype=np.int64).reshape(-1, 1)
-            results = run_level(ex, decide_candidate, (level, target, tuple(candidates)),
+            results = run_level(ex, decide_candidates, (level, target, tuple(candidates)),
                                 rows, cfg, estimate_task_cost(level, suff))
             keep = []
             for x, (removed, p_value, _) in zip(candidates, results):

@@ -8,11 +8,18 @@ applied in a single-threaded merge at level end.
 One level engine, ``run_level``, evaluates the tasks of a level.  A task is
 one row of an integer array, and the row together with the level's shared
 snapshot fixes everything that determines its outcome: a module-level
-``decide(shared, row, test, alpha)`` function reads nothing else.  So any
-worker count and any batch partition produce results identical to the
-sequential run.  The engine has three clients, each with its own ``decide``:
-the skeleton levels (``decide_edge``), the separating-set search after the
-last level (``_search_pair``) and PC-simple (``inference.decide_candidate``).
+``decide(shared, rows, test, alpha)`` function, which decides a block of
+rows, reads nothing else.  So any worker count and any batch partition
+produce results identical to the sequential run.  The engine has three
+clients, each with its own ``decide``: the skeleton levels
+(``decide_edges``), the separating-set search after the last level
+(``_search_pairs``) and PC-simple (``inference.decide_candidates``).
+
+A skeleton level decides a block in rounds: each round evaluates the next
+conditioning set of every undecided edge with one call of the test's batched
+``pvalues``.  The search evaluates all sets of one size of a block's pairs
+together.  A test without ``pvalues`` is called once per set through
+``_scalar_pvalues``, in the same rounds.
 
 Batching bounds how many tasks sit in worker queues at once so a run on a
 memory-constrained machine does not hold the whole level in flight while
@@ -27,12 +34,15 @@ it finds.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Callable, Sequence
+from functools import partial
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +59,11 @@ GAUSSIAN_TASK_CELL = 48        # submatrix entry + inverse + factorization scrat
 DISCRETE_TASK_BASE = 512
 DISCRETE_TABLE_CELL = 16       # observed count + expected frequency per cell
 MAX_TABLE_CELLS = 1 << 20
+# Most task rows one ``decide`` call receives, and most sets one ``pvalues``
+# call receives.  It caps a block's per-row state (a set generator per edge)
+# and the stacked submatrices of a call, whatever the batch size or the
+# separating-set search's set count.
+MAX_BLOCK_ROWS = 1 << 12
 
 
 class LevelExecutionError(RuntimeError):
@@ -99,9 +114,15 @@ class BatchPlan:
 
 @dataclass(frozen=True)
 class LevelStat:
+    """One level's counters.  ``degenerate`` counts the tests whose
+    conditioning set was degenerate (a NaN p-value), each counted as
+    dependence; like ``LevelStats.search_tests`` it stays out of the JSON
+    rows."""
+
     level: int
     tests: int
     removals: int
+    degenerate: int
     wall_ms: float
 
 
@@ -127,75 +148,139 @@ class LevelStats:
         ]
 
 
-def decide_edge(shared: tuple[int, Sequence[tuple[int, ...]]], row: Sequence[int],
-                test: CiTest, alpha: float) -> tuple[tuple[int, ...] | None, int]:
-    """Run one edge's conditioning sets for its level; first acceptance wins.
-
-    ``shared`` is the level and the level-start neighbour tuples (ascending,
-    indexed by variable); ``row`` is the edge (i, j), i < j.  Sets of the
-    level's size are drawn from i's neighbourhood (minus j) in lexicographic
-    order, then from j's side skipping sets already covered by i's side.  A
-    degenerate-conditioning failure counts as dependence for that set and
-    enumeration continues.  Returns the accepting set (None when the edge
-    stays) and the number of tests run.
-    """
-    level, nbrs = shared
-    i, j = row
-    side_i = tuple(v for v in nbrs[i] if v != j)
-    side_j = tuple(v for v in nbrs[j] if v != i)
-    tests = 0
-    for sub in combinations(side_i, level):
-        tests += 1
+def _scalar_pvalues(test: CiTest, i: np.ndarray, j: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """The batched form of a test that offers only ``__call__``: one call per
+    row, NaN where it raises DegenerateConditioningError."""
+    out = np.empty(len(i))
+    for k, (a, b, sub) in enumerate(zip(i.tolist(), j.tolist(), s.tolist())):
         try:
-            outcome = test(i, j, sub)
+            out[k] = test(a, b, tuple(sub)).p_value
         except DegenerateConditioningError:
-            continue
-        if outcome.p_value > alpha:
-            return sub, tests
-    covered = set(side_i)
-    for sub in combinations(side_j, level):
-        if all(v in covered for v in sub):
-            continue
-        tests += 1
-        try:
-            outcome = test(i, j, sub)
-        except DegenerateConditioningError:
-            continue
-        if outcome.p_value > alpha:
-            return sub, tests
-    return None, tests
+            out[k] = np.nan
+    return out
 
 
-def _search_pair(nbrs: Sequence[tuple[int, ...]], row: Sequence[int], test: CiTest,
-                 alpha: float) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Every accepting set of one non-adjacent pair, and the number of tests run.
+def _pvalues(test: CiTest) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    batched = getattr(test, "pvalues", None)
+    return batched if batched is not None else partial(_scalar_pvalues, test)
 
-    ``nbrs`` holds the final neighbour tuples; ``row`` is (i, j, min_size,
-    max_size).  Each size enumerates like ``decide_edge``: i's neighbourhood
-    in lexicographic order, then j's skipping sets already covered by i's,
-    so each distinct set is tested once.  A degenerate set does not accept.
+
+def _test_sets(pvalues: Callable, rows: np.ndarray,
+               drawn: Iterable[tuple[int, tuple[int, ...]]],
+               size: int) -> Iterator[tuple[tuple[int, tuple[int, ...]], float]]:
+    """Test each (k, set) of ``drawn`` for the pair in ``rows[k, :2]``.
+
+    Yields ((k, set), p) in the order drawn; ``pvalues`` gets one call per
+    ``MAX_BLOCK_ROWS`` sets, all of size ``size``.
     """
-    i, j, min_size, max_size = row
-    side_i, side_j = nbrs[i], nbrs[j]
+    drawn = iter(drawn)
+    while chunk := list(islice(drawn, MAX_BLOCK_ROWS)):
+        ks = np.array([k for k, _ in chunk], dtype=np.int64)
+        s = np.array([sub for _, sub in chunk], dtype=np.int64).reshape(len(chunk), size)
+        yield from zip(chunk, pvalues(rows[ks, 0], rows[ks, 1], s).tolist())
+
+
+def _pair_sets(side_i: tuple[int, ...], side_j: tuple[int, ...],
+               size: int) -> Iterator[tuple[int, ...]]:
+    """One pair's conditioning sets in test order: the ``size``-subsets of
+    i's side in lexicographic order, then those of j's side that i's side
+    does not cover, so each distinct set comes once."""
+    yield from combinations(side_i, size)
     covered = set(side_i)
-    found = []
-    tests = 0
-    for size in range(min_size, max_size + 1):
-        from_j = (sub for sub in combinations(side_j, size)
-                  if not all(v in covered for v in sub))
-        for sub in chain(combinations(side_i, size), from_j):
-            tests += 1
-            try:
-                outcome = test(i, j, sub)
-            except DegenerateConditioningError:
-                continue
-            if outcome.p_value > alpha:
-                found.append(sub)
-    return tuple(found), tests
+    for sub in combinations(side_j, size):
+        if not covered.issuperset(sub):
+            yield sub
+
+
+def _without(side: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """An ascending tuple without v."""
+    k = bisect_left(side, v)
+    return side[:k] + side[k + 1:] if k < len(side) and side[k] == v else side
+
+
+def _neighbours(adj: np.ndarray, rows: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """Ascending neighbour tuples of every endpoint in ``rows[:, :2]``."""
+    return {v: tuple(np.flatnonzero(adj[v]).tolist())
+            for v in np.unique(rows[:, :2]).tolist()}
+
+
+def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
+                 alpha: float) -> list[tuple[tuple[int, ...] | None, int, int]]:
+    """Decide a block of edges for their level; first acceptance wins.
+
+    ``shared`` is the level and the level-start adjacency matrix; ``rows``
+    holds edges (i, j), i < j.  An edge's sets of the level's size come from
+    i's neighbourhood minus j in lexicographic order, then from j's minus i,
+    skipping sets already covered by i's side.  Round t tests the t-th set
+    of every edge still undecided, in one ``pvalues`` call, so each edge
+    runs exactly the tests a set-by-set loop would.  A degenerate set (NaN)
+    counts as dependence and enumeration continues.  Returns per edge the
+    accepting set (None when the edge stays), the tests run and the
+    degenerate sets among them.
+    """
+    level, adj = shared
+    pvalues = _pvalues(test)
+    edges = rows.tolist()
+    if level:
+        nbrs = _neighbours(adj, rows)
+        sets = [_pair_sets(_without(nbrs[i], j), _without(nbrs[j], i), level)
+                for i, j in edges]
+    else:
+        # every edge has the one set (): its sides need not be built
+        sets = [_pair_sets((), (), 0) for _ in edges]
+    sepsets: list[tuple[int, ...] | None] = [None] * len(edges)
+    tests = [0] * len(edges)
+    degenerate = [0] * len(edges)
+    undecided = range(len(edges))
+    while undecided:
+        drawn = [(k, sub) for k in undecided
+                 if (sub := next(sets[k], None)) is not None]
+        undecided = []
+        for (k, sub), p in _test_sets(pvalues, rows, drawn, level):
+            tests[k] += 1
+            if p > alpha:
+                sepsets[k] = sub
+            else:
+                degenerate[k] += math.isnan(p)
+                undecided.append(k)
+    return list(zip(sepsets, tests, degenerate))
+
+
+def _search_pairs(adj: np.ndarray, rows: np.ndarray, test: CiTest,
+                  alpha: float) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Every accepting set of each non-adjacent pair, and the tests run.
+
+    ``adj`` is the final adjacency matrix; ``rows`` holds (i, j, min_size,
+    max_size).  Each size enumerates like ``decide_edges``, over the pair's
+    full neighbourhoods, and the sets of one size of every pair in the block
+    are tested together.  A degenerate set does not accept.
+    """
+    pvalues = _pvalues(test)
+    nbrs = _neighbours(adj, rows)
+    pairs = rows.tolist()
+    found: list[list[tuple[int, ...]]] = [[] for _ in pairs]
+    tests = [0] * len(pairs)
+    for size in range(int(rows[:, 2].min()), int(rows[:, 3].max()) + 1):
+        for (k, sub), p in _test_sets(pvalues, rows, _sets_of_size(pairs, nbrs, size),
+                                      size):
+            tests[k] += 1
+            if p > alpha:
+                found[k].append(sub)
+    return [(tuple(f), t) for f, t in zip(found, tests)]
+
+
+def _sets_of_size(pairs: list[list[int]], nbrs: dict[int, tuple[int, ...]],
+                  size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(k, set) for the ``size``-sets of every pair k whose range holds size."""
+    for k, (i, j, low, high) in enumerate(pairs):
+        if low <= size <= high:
+            for sub in _pair_sets(nbrs[i], nbrs[j], size):
+                yield k, sub
 
 
 def _search_rows(graph: SkeletonGraph, sepsets: SepsetMap,
-                 nbrs: Sequence[tuple[int, ...]], max_level: int | None) -> np.ndarray:
+                 max_level: int | None) -> np.ndarray:
     """One row (i, j, min_size, max_size) per non-adjacent pair (i < j)
     sharing a neighbour, ascending.
 
@@ -205,9 +290,10 @@ def _search_rows(graph: SkeletonGraph, sepsets: SepsetMap,
     """
     adj = graph.adj.astype(np.float32)
     shares = (adj @ adj > 0) & ~graph.adj
+    degree = graph.adj.sum(axis=1).tolist()
     rows = []
     for i, j in np.argwhere(np.triu(shares, 1)).tolist():
-        top = max(len(nbrs[i]), len(nbrs[j]))
+        top = max(degree[i], degree[j])
         if max_level is not None:
             top = min(top, max_level)
         rows.append((i, j, len(sepsets.get(i, j)), top))
@@ -290,7 +376,7 @@ def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
 
 _WORKER_CONTEXT: tuple[CiTest, float] | None = None
 
-Decide = Callable[[object, list, CiTest, float], object]
+Decide = Callable[[object, np.ndarray, CiTest, float], list]
 
 
 def _init_worker(test: CiTest, alpha: float) -> None:
@@ -298,11 +384,20 @@ def _init_worker(test: CiTest, alpha: float) -> None:
     _WORKER_CONTEXT = (test, alpha)
 
 
+def _decide_blocks(decide: Decide, shared: object, rows: np.ndarray, test: CiTest,
+                   alpha: float) -> list:
+    """``decide`` over contiguous blocks of at most ``MAX_BLOCK_ROWS`` rows."""
+    results: list = []
+    for start in range(0, len(rows), MAX_BLOCK_ROWS):
+        results.extend(decide(shared, rows[start:start + MAX_BLOCK_ROWS], test, alpha))
+    return results
+
+
 def _run_slice(payload: tuple[Decide, object, np.ndarray]) -> list:
     assert _WORKER_CONTEXT is not None, "worker context missing"
     test, alpha = _WORKER_CONTEXT
     decide, shared, rows = payload
-    return [decide(shared, row, test, alpha) for row in rows.tolist()]
+    return _decide_blocks(decide, shared, rows, test, alpha)
 
 
 def _even_slices(items: Sequence, parts: int) -> list[Sequence]:
@@ -375,19 +470,19 @@ def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarra
               cfg: SkeletonConfig, per_task_cost: int) -> list:
     """Decide every task row against the shared snapshot, in row order.
 
-    ``decide(shared, row, test, alpha)`` must be a module-level function so
-    that workers can unpickle it; each row reaches it as a list of ints.  The
-    rows are split into batches by ``plan_batches``.  With one worker a batch
-    runs in-process; with more, each worker gets an even contiguous slice of
-    it, and the gathered results are element-for-element those of the
-    in-process loop.
+    ``decide(shared, rows, test, alpha)`` must be a module-level function so
+    that workers can unpickle it; it gets a contiguous block of at most
+    ``MAX_BLOCK_ROWS`` rows and returns one result per row, each depending on
+    its row and ``shared`` alone.  The rows are split into batches by
+    ``plan_batches``.  With one worker a batch is decided in-process; with
+    more, each worker gets an even contiguous slice of it, and the gathered
+    results are element-for-element those of the in-process run.
     """
     results: list = []
     for batch in plan_batches(rows, cfg, per_task_cost).batches:
         ex.peak_tasks_in_flight = max(ex.peak_tasks_in_flight, len(batch))
         if ex.num_workers == 1:
-            results.extend(decide(shared, row, ex.test, ex.alpha)
-                           for row in batch.tolist())
+            results.extend(_decide_blocks(decide, shared, batch, ex.test, ex.alpha))
             continue
         slices = _even_slices(batch, ex.num_workers)
         for chunk in ex.map_slices([(decide, shared, s) for s in slices]):
@@ -412,9 +507,10 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
     For each level, every surviving edge is tested against conditioning sets
     of the level's size drawn from the level-start neighborhoods of both
     endpoints; the first accepted set removes the edge and becomes its
-    sepset.  Removals are applied only after the whole level has been
-    decided, which makes the output independent of variable order and of the
-    parallel schedule.
+    sepset.  Every task of the level reads one snapshot, the level-start
+    adjacency matrix.  Removals are applied only after the whole level has
+    been decided, which makes the output independent of variable order and
+    of the parallel schedule.
 
     A final phase searches the finished skeleton: for each non-adjacent pair
     that shares a neighbour it tests every distinct subset of the pair's
@@ -438,35 +534,33 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
         level = 0
         while cfg.max_level is None or level <= cfg.max_level:
             started = time.perf_counter()
-            nbrs = [tuple(graph.neighbors(v)) for v in range(p)]
             degree = graph.adj.sum(axis=1)
             edges = np.argwhere(np.triu(graph.adj, 1))
             edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
             if len(edges) == 0:
                 break
-            results = run_level(ex, decide_edge, (level, nbrs), edges, cfg,
-                                estimate_task_cost(level, suff))
-            tests = removals = 0
-            for (i, j), (sepset, performed) in zip(edges.tolist(), results):
-                tests += performed
-                if sepset is not None:
-                    graph.remove_edge(i, j)
-                    sepsets.set(i, j, sepset)
-                    removals += 1
+            decided = run_level(ex, decide_edges, (level, graph.adj.copy()), edges,
+                                cfg, estimate_task_cost(level, suff))
+            removed = [k for k, (sepset, _, _) in enumerate(decided) if sepset is not None]
+            gone = edges[removed]
+            graph.adj[gone[:, 0], gone[:, 1]] = graph.adj[gone[:, 1], gone[:, 0]] = False
+            for (i, j), k in zip(gone.tolist(), removed):
+                sepsets.set(i, j, decided[k][0])
             level_rows.append(LevelStat(
                 level=level,
-                tests=tests,
-                removals=removals,
+                tests=sum(tests for _, tests, _ in decided),
+                removals=len(removed),
+                degenerate=sum(nan for _, _, nan in decided),
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             ))
             level += 1
 
-        nbrs = [tuple(graph.neighbors(v)) for v in range(p)]
-        rows = _search_rows(graph, sepsets, nbrs, cfg.max_level)
+        rows = _search_rows(graph, sepsets, cfg.max_level)
         cost = estimate_task_cost(int(rows[:, 3].max(initial=0)), suff)
         search_tests = 0
         for (i, j, _, _), (found, performed) in zip(
-                rows.tolist(), run_level(ex, _search_pair, nbrs, rows, cfg, cost)):
+                rows.tolist(), run_level(ex, _search_pairs, graph.adj.copy(), rows,
+                                         cfg, cost)):
             sepsets.set_search(i, j, found)
             search_tests += performed
     return graph, sepsets, LevelStats(tuple(level_rows), ex.peak_tasks_in_flight,

@@ -347,3 +347,98 @@ class TestInvariants:
             a, b = test(i, j, s), test(j, i, s)
             assert a == b
             assert 0.0 <= a.p_value <= 1.0
+
+
+def scalar_pvalues(test, i, j, s):
+    """The scalar calls row by row; NaN where a call raises
+    DegenerateConditioningError."""
+    out = []
+    for a, b, sub in zip(i, j, s):
+        try:
+            out.append(test(int(a), int(b), [int(v) for v in sub]).p_value)
+        except DegenerateConditioningError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def random_rows(rng, p, size, count):
+    drawn = np.array([rng.choice(p, size=size + 2, replace=False)
+                      for _ in range(count)], dtype=np.int64)
+    return drawn[:, 0], drawn[:, 1], drawn[:, 2:]
+
+
+class TestBatchedPvalues:
+    """``pvalues`` against the scalar call, bit for bit (NaN for degenerate)."""
+
+    @pytest.mark.parametrize("factory", [FisherZTest, GaussianMiTest])
+    @pytest.mark.parametrize("level", range(5))
+    def test_bit_identical_to_scalar(self, factory, level):
+        rng = np.random.default_rng(100 + level)
+        data = rng.standard_normal((40, 12))
+        data[:, 5] += 2.0 * data[:, 3]       # strong and weak dependences
+        data[:, 7] += 0.3 * data[:, 5]
+        ds = Dataset(data, [f"v{k}" for k in range(12)], [Continuous()] * 12)
+        test = factory(gaussian_suffstat(ds))
+        i, j, s = random_rows(rng, 12, level, 400)
+        got = test.pvalues(i, j, s)
+        assert got.shape == (400,)
+        assert np.array_equal(got, scalar_pvalues(test, i, j, s))
+
+    @pytest.mark.parametrize("factory", [FisherZTest, GaussianMiTest])
+    def test_singular_submatrix_gives_nan(self, factory):
+        # 0 and 1 are copies: any set holding the other copy is singular
+        corr = np.array([[1.0, 1.0, 0.5, 0.2],
+                         [1.0, 1.0, 0.5, 0.2],
+                         [0.5, 0.5, 1.0, 0.3],
+                         [0.2, 0.2, 0.3, 1.0]])
+        test = factory(GaussianSuffStat(corr, 30))
+        i = np.array([0, 2, 2, 0])
+        j = np.array([2, 3, 0, 3])
+        s = np.array([[1], [0], [3], [2]])
+        with pytest.raises(DegenerateConditioningError):
+            test(0, 2, [1])
+        got = test.pvalues(i, j, s)
+        assert np.isnan(got[0]) and not np.isnan(got[1:]).any()
+        assert np.array_equal(got, scalar_pvalues(test, i, j, s), equal_nan=True)
+
+    def test_effective_sample_exhausted(self):
+        # n=5 with |s|=3: n - |s| - 3 < 0, so no row can reject, but a
+        # singular set (0 and 1 are copies) stays NaN as the scalar raises
+        corr = np.eye(6)
+        corr[0, 1] = corr[1, 0] = 1.0
+        test = FisherZTest(GaussianSuffStat(corr, 5))
+        s = np.array([[1, 3, 4], [1, 3, 4]])
+        got = test.pvalues(np.array([0, 2]), np.array([5, 5]), s)
+        assert np.isnan(got[0]) and got[1] == 1.0
+        assert np.array_equal(got, scalar_pvalues(test, [0, 2], [5, 5], s),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("factory", [FisherZTest, GaussianMiTest])
+    @pytest.mark.parametrize("i, j, s", [
+        ([0, 1], [1, 1], [[2], [3]]),      # i == j
+        ([0, 1], [1, 2], [[2], [1]]),      # set holds i
+        ([0, 1], [1, 2], [[1], [3]]),      # set holds j
+        ([0, 1], [1, 4], [[2], [3]]),      # out of range
+        ([0, -1], [1, 2], [[2], [3]]),     # negative
+        ([0, 1], [1, 2], [[2, 3], [3, 3]]),  # duplicate entry
+    ])
+    def test_invalid_rows_raise_like_scalar(self, factory, i, j, s):
+        test = factory(identity_stat(4))
+        with pytest.raises(ValueError):
+            scalar_pvalues(test, i, j, s)
+        with pytest.raises(ValueError):
+            test.pvalues(np.array(i), np.array(j), np.array(s))
+
+    def test_shapes_and_dtype_checked(self):
+        test = FisherZTest(identity_stat(4))
+        with pytest.raises(ValueError):
+            test.pvalues(np.array([0]), np.array([1, 2]), np.array([[2], [3]]))
+        with pytest.raises(ValueError):
+            test.pvalues(np.array([0]), np.array([1]), np.array([2]))
+        with pytest.raises(ValueError):
+            test.pvalues(np.array([0.0]), np.array([1.0]), np.array([[2.0]]))
+
+    def test_empty_batch(self):
+        test = GaussianMiTest(identity_stat(4))
+        empty = np.empty(0, dtype=np.int64)
+        assert test.pvalues(empty, empty, np.empty((0, 2), dtype=np.int64)).shape == (0,)

@@ -16,12 +16,13 @@ from stablepc import (
     LevelExecutionError,
     OracleTest,
     SkeletonConfig,
-    decide_edge,
+    decide_edges,
     estimate_task_cost,
     gaussian_suffstat,
     plan_batches,
     skeleton_stable,
 )
+from stablepc import skeleton
 from stablepc.cli import random_weighted_dag
 from stablepc.inference import linear_sem_sample
 from stablepc.skeleton import (
@@ -58,10 +59,26 @@ class TestConfigValidation:
             SkeletonConfig(num_workers=0)
 
 
+def adjacency(p, nbrs):
+    """Symmetric adjacency matrix holding each listed neighbourhood."""
+    adj = np.zeros((p, p), dtype=bool)
+    for u, vs in enumerate(nbrs):
+        for v in vs:
+            adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def decide_one(level, p, nbrs, edge, test):
+    """``decide_edges`` on a one-edge block: (sepset, tests, degenerate)."""
+    [decision] = decide_edges((level, adjacency(p, nbrs)),
+                              np.array([edge], dtype=np.int64), test, 0.01)
+    return decision
+
+
 class TestDecideEdge:
     def test_level_zero_single_test(self):
         stat = GaussianSuffStat(np.eye(3), 100)
-        sepset, tests = decide_edge((0, [(1, 2), (0, 2)]), (0, 1), FisherZTest(stat), 0.01)
+        sepset, tests, _ = decide_one(0, 3, [(1, 2), (0, 2)], (0, 1), FisherZTest(stat))
         assert sepset == () and tests == 1
 
     def test_enumeration_order_i_side_first(self):
@@ -74,15 +91,15 @@ class TestDecideEdge:
                 from stablepc import CiTestOutcome
                 return CiTestOutcome(0.0, 0.0, 0.0)
 
-        decide_edge((1, [(1, 2, 4), (0, 3, 4)]), (0, 1), Spy(), 0.01)
+        decide_one(1, 5, [(1, 2, 4), (0, 3, 4)], (0, 1), Spy())
         # i's side: neighbors of 0 minus 1 -> (2,), (4,); then j's side:
         # neighbors of 1 minus 0 -> (3,), (4,) with (4,) already covered
         assert calls == [(2,), (4,), (3,)]
 
     def test_dedup_skips_shared_subsets(self):
         stat = GaussianSuffStat(np.eye(5), 100)
-        sepset, tests = decide_edge((1, [(1, 2, 3), (0, 2, 3)]), (0, 1),
-                                    FisherZTest(stat), 0.01)
+        sepset, tests, _ = decide_one(1, 5, [(1, 2, 3), (0, 2, 3)], (0, 1),
+                                      FisherZTest(stat))
         assert sepset is not None and tests == 1  # first set (2,) accepts
 
     def test_degenerate_counts_as_dependence(self):
@@ -93,11 +110,23 @@ class TestDecideEdge:
                          [1.0, 0.49, 1.0, 0.7],
                          [0.7, 0.7, 0.7, 1.0]])
         stat = GaussianSuffStat(corr, 100)
-        sepset, tests = decide_edge((1, [(1, 2, 3), (0, 2, 3)]), (0, 1),
-                                    FisherZTest(stat), 0.01)
+        sepset, tests, degenerate = decide_one(1, 4, [(1, 2, 3), (0, 2, 3)], (0, 1),
+                                               FisherZTest(stat))
         # sets ordered (2,), (3,): (2,) degenerate -> skipped, (3,) accepts
         assert sepset == (3,)
         assert tests == 2
+        assert degenerate == 1
+
+    def test_block_equals_one_edge_blocks(self):
+        # the rounds of a block leave each edge's decision as it is alone
+        suff = gaussian_case(2, p=9)
+        shared = (2, adjacency(9, [[v for v in range(9) if v != u] for u in range(9)]))
+        rows = np.array([(i, j) for i in range(9) for j in range(i + 1, 9)],
+                        dtype=np.int64)
+        block = decide_edges(shared, rows, FisherZTest(suff), 0.01)
+        assert block == [decide_edges(shared, rows[k:k + 1], FisherZTest(suff), 0.01)[0]
+                         for k in range(len(rows))]
+        assert len({tests for _, tests, _ in block}) > 1
 
 
 class TestPlanBatches:
@@ -177,8 +206,8 @@ def run_engine(decide, shared, rows, test, workers):
                          SkeletonConfig(num_workers=workers), 64)
 
 
-def _echo_row(shared, row, test, alpha):
-    return tuple(row)
+def _echo_row(shared, rows, test, alpha):
+    return [tuple(row) for row in rows.tolist()]
 
 
 class TestRunLevelParallel:
@@ -186,18 +215,17 @@ class TestRunLevelParallel:
 
     def make_level(self, p=8, seed=1):
         suff = gaussian_case(seed, p=p)
-        nbrs = [tuple(v for v in range(p) if v != u) for u in range(p)]
+        adj = ~np.eye(p, dtype=bool)
         rows = np.array([(i, j) for i in range(p) for j in range(i + 1, p)],
                         dtype=np.int64)
-        return (1, nbrs), rows, FisherZTest(suff)
+        return (1, adj), rows, FisherZTest(suff)
 
     def test_worker_counts_agree(self):
         shared, rows, test = self.make_level()
-        reference = run_engine(decide_edge, shared, rows, test, 1)
-        assert reference == [decide_edge(shared, row, test, 0.01)
-                             for row in rows.tolist()]
+        reference = run_engine(decide_edges, shared, rows, test, 1)
+        assert reference == decide_edges(shared, rows, test, 0.01)
         for workers in (2, 4, 8):
-            assert run_engine(decide_edge, shared, rows, test, workers) == reference
+            assert run_engine(decide_edges, shared, rows, test, workers) == reference
 
     def test_result_order_matches_input(self):
         shared, rows, test = self.make_level()
@@ -206,18 +234,87 @@ class TestRunLevelParallel:
 
     def test_empty_tasks(self):
         rows = np.empty((0, 2), dtype=np.int64)
-        assert run_engine(decide_edge, (0, []), rows, None, 4) == []
+        assert run_engine(decide_edges, (0, np.zeros((2, 2), dtype=bool)), rows,
+                          None, 4) == []
 
     def test_worker_failure_aborts_level(self):
         shared, rows, _ = self.make_level(p=4)
         with pytest.raises(LevelExecutionError):
-            run_engine(decide_edge, shared, rows, _ExplodingTest(), 2)
+            run_engine(decide_edges, shared, rows, _ExplodingTest(), 2)
 
 
 @dataclass(frozen=True)
 class _ExplodingTest:
     def __call__(self, i, j, s):
         raise RuntimeError("boom")
+
+
+@dataclass(frozen=True)
+class _ScalarOnly:
+    """A CI callable without ``pvalues``, like a user-supplied test."""
+
+    test: FisherZTest
+
+    def __call__(self, i, j, s):
+        return self.test(i, j, s)
+
+
+@dataclass(frozen=True)
+class _BatchedOnlyFisherZ(FisherZTest):
+    def __call__(self, i, j, s):
+        raise AssertionError("scalar Fisher z called during the levels")
+
+
+def duplicated_column_case(seed=6, p=10):
+    """A Gaussian statistic whose last variable copies variable 0 exactly, so
+    every set holding both copies is singular."""
+    corr = gaussian_case(seed, p=p - 1, density=0.3).corr
+    idx = [*range(p - 1), 0]
+    dup = corr[np.ix_(idx, idx)].copy()
+    np.fill_diagonal(dup, 1.0)
+    return GaussianSuffStat(dup, 300)
+
+
+def counts(stats):
+    return ([(s.level, s.tests, s.removals, s.degenerate) for s in stats.levels],
+            stats.search_tests)
+
+
+class TestBatchedPath:
+    """Levels and search through ``pvalues`` against the scalar adapter."""
+
+    def test_scalar_adapter_matches_batched(self):
+        suff = duplicated_column_case()
+        reference = run_outputs(suff, FisherZTest(suff), suff.p, SkeletonConfig())
+        assert sum(s.degenerate for s in reference[2].levels) > 0
+        assert reference[2].search_tests > 0
+        for workers in (1, 2):
+            for batch in (1, 7, None):
+                cfg = SkeletonConfig(num_workers=workers, force_batch_size=batch)
+                for test in (FisherZTest(suff), _ScalarOnly(FisherZTest(suff))):
+                    adj, seps, stats = run_outputs(suff, test, suff.p, cfg)
+                    assert np.array_equal(adj, reference[0])
+                    assert seps == reference[1]
+                    assert counts(stats) == counts(reference[2])
+
+    def test_small_blocks_keep_results(self, monkeypatch):
+        # blocks of 3 rows and pvalues calls of 3 sets change no decision
+        suff = duplicated_column_case()
+        reference = run_outputs(suff, FisherZTest(suff), suff.p, SkeletonConfig())
+        monkeypatch.setattr(skeleton, "MAX_BLOCK_ROWS", 3)
+        for workers in (1, 2):
+            adj, seps, stats = run_outputs(suff, FisherZTest(suff), suff.p,
+                                           SkeletonConfig(num_workers=workers))
+            assert np.array_equal(adj, reference[0]) and seps == reference[1]
+            assert counts(stats) == counts(reference[2])
+
+    def test_levels_never_call_scalar_fisher_z(self):
+        suff = gaussian_case(8, p=12)
+        adj, seps, stats = run_outputs(suff, _BatchedOnlyFisherZ(suff), suff.p,
+                                       SkeletonConfig())
+        reference = run_outputs(suff, FisherZTest(suff), suff.p, SkeletonConfig())
+        assert len(stats.levels) > 1 and stats.search_tests > 0
+        assert np.array_equal(adj, reference[0]) and seps == reference[1]
 
 
 class TestSkeletonStable:

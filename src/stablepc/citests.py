@@ -96,23 +96,28 @@ def _validate_triplet(p: int, i: int, j: int, s: Sequence[int]) -> tuple[int, ..
     return s
 
 
-def _validate_rows(p: int, i: object, j: object,
-                   s: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_validate_triplet`` for every row at once: the first bad row raises
-    the scalar call's error.  Returns i, j and s as int64 arrays."""
+def _canonical_rows(p: int, i: object, j: object, s: object) -> np.ndarray:
+    """Rows [min(i, j), max(i, j), *sorted(s)] as an (m, l + 2) int64 array,
+    the scalar call's canonical order, after ``_validate_triplet``'s checks
+    on every row at once: the first bad row raises the scalar call's error."""
     i, j, s = np.asarray(i), np.asarray(j), np.asarray(s)
     if i.ndim != 1 or j.shape != i.shape or s.ndim != 2 or len(s) != len(i):
         raise ValueError("index arrays must have shapes (m,), (m,) and (m, l)")
-    if any(a.size and a.dtype.kind not in "iu" for a in (i, j, s)):
-        raise ValueError("variable indices must be integers")
-    i, j, s = (a.astype(np.int64, copy=False) for a in (i, j, s))
-    ordered = np.sort(np.concatenate((i[:, None], j[:, None], s), axis=1), axis=1)
-    bad = ((ordered[:, 0] < 0) | (ordered[:, -1] >= p)
-           | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    if bad.any():
+    for a in (i, j, s):
+        if a.dtype.kind not in "iu" and a.size:
+            raise ValueError("variable indices must be integers")
+    rows = np.concatenate((i[:, None], j[:, None], s), axis=1).astype(np.int64)
+    # Read as unsigned, a negative index sorts last, so one bound check
+    # catches both ends of [0, p); a repeated index sorts next to itself.
+    ordered = np.sort(rows.view(np.uint64), axis=1)
+    if (np.count_nonzero(ordered[:, -1:] >= p)
+            or np.count_nonzero(ordered[:, 1:] == ordered[:, :-1])):
+        bad = (ordered[:, -1] >= p) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         k = int(bad.argmax())
         _validate_triplet(p, int(i[k]), int(j[k]), s[k].tolist())
-    return i, j, s
+    rows[:, :2].sort(axis=1)
+    rows[:, 2:].sort(axis=1)
+    return rows
 
 
 def partial_correlation(stat: GaussianSuffStat, i: int, j: int, s: Sequence[int]) -> float:
@@ -158,11 +163,9 @@ def _partial_correlations(stat: GaussianSuffStat, i: object, j: object,
     inverted matrix by matrix instead.  Each matrix takes the scalar call's
     LAPACK path, so every value is bit-identical to the scalar one.
     """
-    i, j, s = _validate_rows(stat.p, i, j, s)
-    if s.shape[1] == 0:
-        return stat.corr[i, j]
-    idx = np.concatenate((np.minimum(i, j)[:, None], np.maximum(i, j)[:, None],
-                          np.sort(s, axis=1)), axis=1)
+    idx = _canonical_rows(stat.p, i, j, s)
+    if idx.shape[1] == 2:
+        return stat.corr[idx[:, 0], idx[:, 1]]  # exactly symmetric
     sub = stat.corr[idx[:, :, None], idx[:, None, :]]
     try:
         prec = np.linalg.inv(sub)
@@ -170,9 +173,10 @@ def _partial_correlations(stat: GaussianSuffStat, i: object, j: object,
         prec = np.stack([_inverse_or_nan(m) for m in sub])
     denom = prec[:, 0, 0] * prec[:, 1, 1]
     ok = np.isfinite(prec).all(axis=(1, 2)) & (denom > 0)
-    r = np.full(len(i), np.nan)
-    r[ok] = -prec[ok, 0, 1] / np.sqrt(denom[ok])
-    return np.minimum(1.0, np.maximum(-1.0, r))
+    # NaN in the rows that are not ok; dividing by it raises no warning
+    root = np.sqrt(denom, out=np.full(len(denom), np.nan), where=ok)
+    r = np.divide(-prec[:, 0, 1], root, out=root)
+    return np.minimum(1.0, np.maximum(-1.0, r, out=r), out=r)
 
 
 @dataclass(frozen=True)

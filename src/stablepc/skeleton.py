@@ -21,7 +21,7 @@ conditioning set of every undecided edge with one call of the test's batched
 together.  A test without ``pvalues`` is called once per set through
 ``_scalar_pvalues``, in the same rounds.
 
-Batching bounds how many tasks sit in worker queues at once so a run on a
+Batching bounds how many tasks are dispatched at once so a run on a
 memory-constrained machine does not hold the whole level in flight while
 waiting for the merge barrier.  Batch boundaries never influence results,
 only scheduling.
@@ -35,13 +35,15 @@ it finds.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import pickle
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice
+from multiprocessing.connection import Connection
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,6 +66,9 @@ MAX_TABLE_CELLS = 1 << 20
 # and the stacked submatrices of a call, whatever the batch size or the
 # separating-set search's set count.
 MAX_BLOCK_ROWS = 1 << 12
+# How long closing an executor waits for an idle worker to exit before it
+# terminates the worker.
+WORKER_EXIT_TIMEOUT_S = 5.0
 
 
 class LevelExecutionError(RuntimeError):
@@ -176,9 +181,10 @@ def _test_sets(pvalues: Callable, rows: np.ndarray,
     """
     drawn = iter(drawn)
     while chunk := list(islice(drawn, MAX_BLOCK_ROWS)):
-        ks = np.array([k for k, _ in chunk], dtype=np.int64)
-        s = np.array([sub for _, sub in chunk], dtype=np.int64).reshape(len(chunk), size)
-        yield from zip(chunk, pvalues(rows[ks, 0], rows[ks, 1], s).tolist())
+        ks, subs = zip(*chunk)
+        pairs = rows.take(ks, axis=0)
+        s = np.array(subs, dtype=np.int64).reshape(len(chunk), size)
+        yield from zip(chunk, pvalues(pairs[:, 0], pairs[:, 1], s).tolist())
 
 
 def _pair_sets(side_i: tuple[int, ...], side_j: tuple[int, ...],
@@ -202,7 +208,7 @@ def _without(side: tuple[int, ...], v: int) -> tuple[int, ...]:
 def _neighbours(adj: np.ndarray, rows: np.ndarray) -> dict[int, tuple[int, ...]]:
     """Ascending neighbour tuples of every endpoint in ``rows[:, :2]``."""
     return {v: tuple(np.flatnonzero(adj[v]).tolist())
-            for v in np.unique(rows[:, :2]).tolist()}
+            for v in set(rows[:, :2].ravel().tolist())}
 
 
 def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
@@ -368,20 +374,15 @@ def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
 
 
 # ---------------------------------------------------------------------------
-# Worker-side machinery.  One process pool per engine run; workers hold the
-# CI test and alpha in a module global set by the pool initializer.  Every
-# slice travels in one format, ``(decide, shared, rows)``: the client's
-# module-level decide function (pickled by reference), the level's shared
-# snapshot and a contiguous block of the integer task rows.
-
-_WORKER_CONTEXT: tuple[CiTest, float] | None = None
+# Worker-side machinery.  One set of worker processes per engine run, each
+# bound to the CI test and alpha when it starts and talking to the executor
+# over its own pipe.  Every slice travels in one format, ``(decide, shared,
+# rows)``: the client's module-level decide function (pickled by reference),
+# the level's shared snapshot and a contiguous block of the integer task rows.
+# A worker replies ``(True, results)``, or ``(False, error)`` when the slice
+# raised.
 
 Decide = Callable[[object, np.ndarray, CiTest, float], list]
-
-
-def _init_worker(test: CiTest, alpha: float) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (test, alpha)
 
 
 def _decide_blocks(decide: Decide, shared: object, rows: np.ndarray, test: CiTest,
@@ -393,11 +394,22 @@ def _decide_blocks(decide: Decide, shared: object, rows: np.ndarray, test: CiTes
     return results
 
 
-def _run_slice(payload: tuple[Decide, object, np.ndarray]) -> list:
-    assert _WORKER_CONTEXT is not None, "worker context missing"
-    test, alpha = _WORKER_CONTEXT
-    decide, shared, rows = payload
-    return _decide_blocks(decide, shared, rows, test, alpha)
+def _worker_loop(conn: Connection, test: CiTest, alpha: float) -> None:
+    """Decide each slice received on ``conn`` until it sends None or closes."""
+    while True:
+        try:
+            message = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            payload = pickle.loads(message)
+            if payload is None:
+                return
+            decide, shared, rows = payload
+            reply = (True, _decide_blocks(decide, shared, rows, test, alpha))
+        except Exception as exc:
+            reply = (False, repr(exc))
+        conn.send(reply)
 
 
 def _even_slices(items: Sequence, parts: int) -> list[Sequence]:
@@ -415,12 +427,14 @@ def _even_slices(items: Sequence, parts: int) -> list[Sequence]:
 
 
 class LevelExecutor:
-    """Fork-join pool bound to one (test, alpha) pair for one engine run.
+    """Fork-join worker pool bound to one (test, alpha) pair for one engine run.
 
-    Lazily spins up the process pool on the first parallel dispatch, so
-    sequential runs never fork.  Each instance owns its pool; concurrent
-    engine runs on distinct inputs use distinct executors.  It also keeps
-    the largest batch ``run_level`` dispatched through it.
+    Lazily starts its worker processes on the first parallel dispatch, so
+    sequential runs never fork.  Each instance owns its workers; concurrent
+    engine runs on distinct inputs use distinct executors.  A dispatch sends
+    each worker one slice down its pipe and waits for every reply, with no
+    queue or thread in between.  It also keeps the largest batch
+    ``run_level`` dispatched through it.
     """
 
     def __init__(self, num_workers: int, test: CiTest, alpha: float):
@@ -428,7 +442,7 @@ class LevelExecutor:
         self.test = test
         self.alpha = alpha
         self.peak_tasks_in_flight = 0
-        self._pool: ProcessPoolExecutor | None = None
+        self._workers: list[tuple[multiprocessing.Process, Connection]] = []
 
     def __enter__(self) -> "LevelExecutor":
         return self
@@ -437,30 +451,49 @@ class LevelExecutor:
         self.close()
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        workers, self._workers = self._workers, []
+        for _, conn in workers:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+            conn.close()
+        for proc, _ in workers:
+            proc.join(WORKER_EXIT_TIMEOUT_S)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers,
-                initializer=_init_worker,
-                initargs=(self.test, self.alpha),
-            )
-        return self._pool
+    def _ensure_workers(self) -> list[tuple[multiprocessing.Process, Connection]]:
+        if not self._workers:
+            for _ in range(self.num_workers):
+                here, there = multiprocessing.Pipe()
+                proc = multiprocessing.Process(
+                    target=_worker_loop, args=(there, self.test, self.alpha),
+                    daemon=True)
+                proc.start()
+                there.close()
+                self._workers.append((proc, here))
+        return self._workers
 
     def map_slices(self, payloads: Sequence) -> list[list]:
         """Run one slice per payload; gather results in submission order."""
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_slice, payload) for payload in payloads]
+        workers = self._ensure_workers()
         results = []
         try:
-            for f in futures:
-                results.append(f.result())
+            for start in range(0, len(payloads), len(workers)):
+                wave = payloads[start:start + len(workers)]
+                for (_, conn), payload in zip(workers, wave):
+                    conn.send(payload)
+                for (_, conn), _ in zip(workers, wave):
+                    ok, reply = conn.recv()
+                    if not ok:
+                        raise LevelExecutionError(f"worker failed: {reply}")
+                    results.append(reply)
+        except LevelExecutionError:
+            self.close()
+            raise
         except Exception as exc:
-            for f in futures:
-                f.cancel()
             self.close()
             raise LevelExecutionError(f"worker failed: {exc!r}") from exc
         return results

@@ -1,5 +1,6 @@
 """Tests for the level-synchronized skeleton engine."""
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,10 @@ def _echo_row(shared, rows, test, alpha):
     return [tuple(row) for row in rows.tolist()]
 
 
+def _exit_worker(shared, rows, test, alpha):
+    os._exit(3)
+
+
 class TestRunLevelParallel:
     """The level engine, driven with the skeleton's level-1 edge tasks."""
 
@@ -241,6 +246,15 @@ class TestRunLevelParallel:
         shared, rows, _ = self.make_level(p=4)
         with pytest.raises(LevelExecutionError):
             run_engine(decide_edges, shared, rows, _ExplodingTest(), 2)
+
+    def test_worker_exit_aborts_level_and_executor_recovers(self):
+        shared, rows, test = self.make_level(p=4)
+        with LevelExecutor(2, test, 0.01) as ex:
+            with pytest.raises(LevelExecutionError):
+                ex.map_slices([(_exit_worker, shared, rows[:1]),
+                               (_echo_row, shared, rows[1:])])
+            assert ex.map_slices([(_echo_row, shared, rows[:3])]) == \
+                [[tuple(row) for row in rows[:3].tolist()]]
 
 
 @dataclass(frozen=True)

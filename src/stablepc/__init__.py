@@ -55,7 +55,6 @@ from .inference import (
 )
 from .orientation import cpdag_from_dag, meek_closure, orient_v_structures
 from .skeleton import (
-    BatchPlan,
     LevelExecutionError,
     LevelStat,
     LevelStats,
@@ -69,7 +68,6 @@ from .skeleton import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchPlan",
     "ChiSquaredTest",
     "CiTestOutcome",
     "Continuous",

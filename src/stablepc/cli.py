@@ -41,7 +41,13 @@ from .data import (
 from .graphs import Dag, GraphError, dag_from_json_dict
 from .inference import ida_effects, linear_sem_population_cov, linear_sem_sample, pc_simple
 from .orientation import meek_closure, orient_v_structures
-from .skeleton import LevelExecutionError, SkeletonConfig, skeleton_stable
+from .skeleton import (
+    DEFAULT_MEM_BUDGET_BYTES,
+    LevelExecutionError,
+    SkeletonConfig,
+    probe_free_memory,
+    skeleton_stable,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -97,25 +103,34 @@ class RunConfig:
         if "ida" in runs and (self.cause is None or self.outcome is None):
             raise CliInputError("ida requires --cause and --outcome")
         try:
-            self.skeleton_config()
+            # an 'auto' budget is always valid, so validation skips its probe
+            self.skeleton_config(mem_efficient=self.mem_budget != "auto")
         except ValueError as exc:
             raise CliInputError(str(exc)) from None
 
     def skeleton_config(self, *, num_workers: int | None = None,
                         mem_efficient: bool | None = None) -> SkeletonConfig:
-        """The engine's config; a given ``--mem-budget`` turns batching on
-        unless ``mem_efficient`` says otherwise."""
-        budget = self.mem_budget if isinstance(self.mem_budget, int) else None
-        probe = self.mem_budget == "auto"
+        """The engine's config for one run.
+
+        ``--mem-efficient`` or a given ``--mem-budget`` turns batching on,
+        unless ``mem_efficient`` says otherwise.  The byte budget is
+        ``--mem-budget``, or for ``auto`` the free memory probed here, once;
+        without either (or when the probe finds nothing) it is
+        ``DEFAULT_MEM_BUDGET_BYTES``.
+        """
         if mem_efficient is None:
             mem_efficient = self.mem_efficient or self.mem_budget is not None
+        if not mem_efficient:
+            budget = None
+        elif self.mem_budget == "auto":
+            budget = probe_free_memory() or DEFAULT_MEM_BUDGET_BYTES
+        else:
+            budget = DEFAULT_MEM_BUDGET_BYTES if self.mem_budget is None else self.mem_budget
         return SkeletonConfig(
             alpha=self.alpha,
             max_level=self.max_level,
             num_workers=self.num_workers if num_workers is None else num_workers,
-            mem_efficient=mem_efficient,
             mem_budget_bytes=budget,
-            mem_probe=probe,
         )
 
 

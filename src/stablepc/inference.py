@@ -1,9 +1,9 @@
 """Local parent/children discovery and intervention-effect estimation.
 
 ``pc_simple`` runs the level-synchronized candidate elimination around one
-target variable as a client of the skeleton module's level engine: each
-level's candidates are task rows, decided by ``decide_candidates`` against
-the level-start candidate pool.
+target variable on the skeleton module's level engine: each level's
+candidates are the edges of a star snapshot around the target, decided by
+``decide_edges`` like a skeleton level.
 ``ida_effects`` enumerates the admissible parent sets of a cause in a CPDAG
 and reports one regression-adjusted total effect per set.  The linear SEM
 helpers generate test data and the matching population covariance.
@@ -18,10 +18,16 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .citests import CiTest, DegenerateConditioningError
+from .citests import CiTest
 from .data import Continuous, Dataset
 from .graphs import Cpdag, Dag
-from .skeleton import LevelExecutor, SkeletonConfig, estimate_task_cost, run_level
+from .skeleton import (
+    LevelExecutor,
+    SkeletonConfig,
+    decide_edges,
+    estimate_task_cost,
+    run_level,
+)
 
 # Tolerance for accepting a pseudo-inverse solution of the normal equations;
 # inconsistent systems beyond it are flagged degenerate.
@@ -81,39 +87,6 @@ class EffectMultiset:
         }
 
 
-def decide_candidates(shared: tuple[int, int, tuple[int, ...]], rows: np.ndarray,
-                      test: CiTest, alpha: float) -> list[tuple[bool, float, int]]:
-    """Test each candidate of a block against the target for every
-    same-level subset of the level-start pool; the first acceptance marks it
-    for removal.
-
-    ``shared`` is (level, target, pool) and each row is a candidate (x,).
-    Returns per candidate whether x goes, the largest p-value seen (the
-    accepting one when it goes) and the number of tests run.
-    """
-    level, target, pool = shared
-    return [_decide_candidate(level, target, pool, x, test, alpha)
-            for (x,) in rows.tolist()]
-
-
-def _decide_candidate(level: int, target: int, pool: tuple[int, ...], x: int,
-                      test: CiTest, alpha: float) -> tuple[bool, float, int]:
-    others = tuple(v for v in pool if v != x)
-    largest = 0.0
-    tests = 0
-    for sub in combinations(others, level):
-        tests += 1
-        try:
-            outcome = test(x, target, sub)
-        except DegenerateConditioningError:
-            continue
-        if outcome.p_value > largest:
-            largest = outcome.p_value
-        if outcome.p_value > alpha:
-            return True, outcome.p_value, tests
-    return False, largest, tests
-
-
 def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
               cfg: SkeletonConfig) -> PcSimpleResult:
     """Estimate the parents-and-children set of one target variable.
@@ -124,6 +97,10 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
     removals apply at level end.  Stops once the level reaches the pool
     size.  ``alpha`` must equal ``cfg.alpha``; the engine's workers test at
     ``alpha``, so a config with another level is rejected, not ignored.
+
+    A level is a skeleton level on a star: the target is adjacent to the
+    pool and each candidate to the target alone, so ``decide_edges`` draws
+    the sets of candidate x from the pool minus x, in lexicographic order.
     """
     if alpha != cfg.alpha:
         raise ValueError(f"alpha {alpha} differs from cfg.alpha {cfg.alpha}")
@@ -137,13 +114,17 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
     with LevelExecutor(cfg.num_workers, test, alpha) as ex:
         level = 0
         while level < len(candidates) and (cfg.max_level is None or level <= cfg.max_level):
-            rows = np.array(candidates, dtype=np.int64).reshape(-1, 1)
-            results = run_level(ex, decide_candidates, (level, target, tuple(candidates)),
-                                rows, cfg, estimate_task_cost(level, suff))
+            star = np.zeros((p, p), dtype=bool)
+            star[target, candidates] = star[candidates, target] = True
+            pool = np.array(candidates, dtype=np.int64)
+            rows = np.column_stack([np.minimum(pool, target), np.maximum(pool, target)])
+            results = run_level(ex, decide_edges, (level, star), rows, cfg,
+                                estimate_task_cost(level, suff))
             keep = []
-            for x, (removed, p_value, _) in zip(candidates, results):
-                largest_p[x] = max(largest_p[x], p_value)
-                if not removed:
+            for x, (sepset, _, _, p_value) in zip(candidates, results):
+                if p_value is not None:
+                    largest_p[x] = max(largest_p[x], p_value)
+                if sepset is None:
                     keep.append(x)
             candidates = keep
             level += 1

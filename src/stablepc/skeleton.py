@@ -10,10 +10,10 @@ one row of an integer array, and the row together with the level's shared
 snapshot fixes everything that determines its outcome: a module-level
 ``decide(shared, rows, test, alpha)`` function, which decides a block of
 rows, reads nothing else.  So any worker count and any batch partition
-produce results identical to the sequential run.  The engine has three
-clients, each with its own ``decide``: the skeleton levels
-(``decide_edges``), the separating-set search after the last level
-(``_search_pairs``) and PC-simple (``inference.decide_candidates``).
+produce results identical to the sequential run.  The engine has two
+``decide`` functions: ``decide_edges`` for the skeleton levels and for
+PC-simple's candidate levels (``inference.pc_simple``), and ``_search_pairs``
+for the separating-set search after the last level.
 
 A skeleton level decides a block in rounds: each round evaluates the next
 conditioning set of every undecided edge with one call of the test's batched
@@ -79,17 +79,16 @@ class LevelExecutionError(RuntimeError):
 class SkeletonConfig:
     """Knobs for the skeleton search and its executor.
 
-    ``force_batch_size`` overrides the planner with a fixed batch size in
-    every mode; it exists so equivalence across batch partitions can be
-    verified directly.
+    ``mem_budget_bytes`` bounds the bytes of the tasks in flight between
+    merge barriers; None puts each level in one batch.  ``force_batch_size``
+    overrides the planner with a fixed batch size; it exists so equivalence
+    across batch partitions can be verified directly.
     """
 
     alpha: float = 0.01
     max_level: int | None = None
     num_workers: int = 1
-    mem_efficient: bool = False
     mem_budget_bytes: int | None = None
-    mem_probe: bool = False
     force_batch_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -103,18 +102,6 @@ class SkeletonConfig:
             raise ValueError("mem_budget_bytes must be positive")
         if self.force_batch_size is not None and self.force_batch_size < 1:
             raise ValueError("force_batch_size must be positive")
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """Ordered partition of a level's task rows into contiguous chunks."""
-
-    batches: tuple[Sequence, ...]
-
-    def __post_init__(self) -> None:
-        for b in self.batches:
-            if len(b) == 0:
-                raise ValueError("batches must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -212,7 +199,7 @@ def _neighbours(adj: np.ndarray, rows: np.ndarray) -> dict[int, tuple[int, ...]]
 
 
 def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
-                 alpha: float) -> list[tuple[tuple[int, ...] | None, int, int]]:
+                 alpha: float) -> list[tuple[tuple[int, ...] | None, int, int, float | None]]:
     """Decide a block of edges for their level; first acceptance wins.
 
     ``shared`` is the level and the level-start adjacency matrix; ``rows``
@@ -222,8 +209,12 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
     of every edge still undecided, in one ``pvalues`` call, so each edge
     runs exactly the tests a set-by-set loop would.  A degenerate set (NaN)
     counts as dependence and enumeration continues.  Returns per edge the
-    accepting set (None when the edge stays), the tests run and the
-    degenerate sets among them.
+    accepting set (None when the edge stays), the tests run, the degenerate
+    sets among them and the largest non-NaN p-value of the sets that did not
+    accept (None when there is none): for an edge that stays, the largest
+    p-value of all its sets.  The accepting p-value is left out so that a
+    level's results, in-process or unpickled from a worker, hold no float
+    per edge removed at its first set.
     """
     level, adj = shared
     pvalues = _pvalues(test)
@@ -238,6 +229,7 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
     sepsets: list[tuple[int, ...] | None] = [None] * len(edges)
     tests = [0] * len(edges)
     degenerate = [0] * len(edges)
+    largest: list[float | None] = [None] * len(edges)
     undecided = range(len(edges))
     while undecided:
         drawn = [(k, sub) for k in undecided
@@ -247,10 +239,13 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
             tests[k] += 1
             if p > alpha:
                 sepsets[k] = sub
-            else:
-                degenerate[k] += math.isnan(p)
-                undecided.append(k)
-    return list(zip(sepsets, tests, degenerate))
+                continue
+            undecided.append(k)
+            if math.isnan(p):
+                degenerate[k] += 1
+            elif largest[k] is None or p > largest[k]:
+                largest[k] = p
+    return list(zip(sepsets, tests, degenerate, largest))
 
 
 def _search_pairs(adj: np.ndarray, rows: np.ndarray, test: CiTest,
@@ -345,32 +340,27 @@ def estimate_task_cost(level: int, suff: object) -> int:
 
 
 def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
-                 per_task_cost: int) -> BatchPlan:
-    """Partition a level's task rows into contiguous batches.
+                 per_task_cost: int) -> tuple[Sequence, ...]:
+    """Partition a level's task rows into contiguous, non-empty batches.
 
-    Without the memory-efficient flag everything goes into one batch.  With
-    it, the batch size is the worker count times the per-worker task count
-    that fits the byte budget (explicit, probed, or the 512 MiB default).
+    Without a byte budget everything goes into one batch.  With one, the
+    batch size is the worker count times the per-worker task count that
+    fits the budget.
     """
     if per_task_cost <= 0:
         raise ValueError("per_task_cost must be positive")
     n = len(tasks)
     if n == 0:
-        return BatchPlan(())
+        return ()
     if cfg.force_batch_size is not None:
         size = min(cfg.force_batch_size, n)
-    elif not cfg.mem_efficient:
-        return BatchPlan((tasks,))
+    elif cfg.mem_budget_bytes is None:
+        return (tasks,)
     else:
-        budget = cfg.mem_budget_bytes
-        if budget is None and cfg.mem_probe:
-            budget = probe_free_memory()
-        if budget is None:
-            budget = DEFAULT_MEM_BUDGET_BYTES
-        per_worker = budget // (per_task_cost * cfg.num_workers)
+        per_worker = cfg.mem_budget_bytes // (per_task_cost * cfg.num_workers)
         per_worker = max(1, min(per_worker, n))
         size = min(per_worker * cfg.num_workers, n)
-    return BatchPlan(tuple(tasks[k:k + size] for k in range(0, n, size)))
+    return tuple(tasks[k:k + size] for k in range(0, n, size))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +502,7 @@ def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarra
     results are element-for-element those of the in-process run.
     """
     results: list = []
-    for batch in plan_batches(rows, cfg, per_task_cost).batches:
+    for batch in plan_batches(rows, cfg, per_task_cost):
         ex.peak_tasks_in_flight = max(ex.peak_tasks_in_flight, len(batch))
         if ex.num_workers == 1:
             results.extend(_decide_blocks(decide, shared, batch, ex.test, ex.alpha))
@@ -574,16 +564,16 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
                 break
             decided = run_level(ex, decide_edges, (level, graph.adj.copy()), edges,
                                 cfg, estimate_task_cost(level, suff))
-            removed = [k for k, (sepset, _, _) in enumerate(decided) if sepset is not None]
+            removed = [k for k, (sepset, *_) in enumerate(decided) if sepset is not None]
             gone = edges[removed]
             graph.adj[gone[:, 0], gone[:, 1]] = graph.adj[gone[:, 1], gone[:, 0]] = False
             for (i, j), k in zip(gone.tolist(), removed):
                 sepsets.set(i, j, decided[k][0])
             level_rows.append(LevelStat(
                 level=level,
-                tests=sum(tests for _, tests, _ in decided),
+                tests=sum(tests for _, tests, _, _ in decided),
                 removals=len(removed),
-                degenerate=sum(nan for _, _, nan in decided),
+                degenerate=sum(nan for _, _, nan, _ in decided),
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             ))
             level += 1

@@ -44,6 +44,7 @@ from stablepc import (
     skeleton_stable,
 )
 from stablepc.cli import random_weighted_dag, run
+from stablepc.skeleton import DEFAULT_MEM_BUDGET_BYTES
 
 
 @contextmanager
@@ -87,8 +88,9 @@ def sweep_equal(suff, test, p):
     for workers in WORKER_COUNTS:
         for mem in MEM_MODES:
             for batch in BATCH_SIZES:
-                cfg = SkeletonConfig(num_workers=workers, mem_efficient=mem,
-                                     force_batch_size=batch)
+                cfg = SkeletonConfig(
+                    num_workers=workers, force_batch_size=batch,
+                    mem_budget_bytes=DEFAULT_MEM_BUDGET_BYTES if mem else None)
                 graph, seps, cpdag, _ = pipeline(suff, test, p, cfg)
                 assert np.array_equal(graph.adj, reference[0].adj), \
                     f"skeleton differs at workers={workers} mem={mem} batch={batch}"

@@ -18,7 +18,7 @@ from stablepc.cli import (
     run,
 )
 from stablepc.graphs import dag_from_json_dict
-from stablepc.skeleton import plan_batches
+from stablepc.skeleton import DEFAULT_MEM_BUDGET_BYTES, plan_batches
 
 
 def read_json(path):
@@ -274,7 +274,20 @@ class TestRunConfig:
 
     def test_given_mem_budget_turns_batching_on(self):
         scfg = RunConfig(command="pc", mem_budget=1, num_workers=1).skeleton_config()
-        assert len(plan_batches(np.arange(1000), scfg, per_task_cost=8).batches) > 1
+        assert len(plan_batches(np.arange(1000), scfg, per_task_cost=8)) > 1
+
+    def test_mem_efficient_alone_uses_default_budget(self):
+        cfg = RunConfig(command="pc", mem_efficient=True, num_workers=1)
+        scfg = cfg.skeleton_config()
+        assert scfg.mem_budget_bytes == DEFAULT_MEM_BUDGET_BYTES
+        plan = plan_batches(np.arange(50), scfg, DEFAULT_MEM_BUDGET_BYTES // 10)
+        assert [len(b) for b in plan] == [10] * 5
+
+    def test_batching_off_drops_the_budget(self):
+        # bench's unbatched variants run one batch per level whatever the flags
+        cfg = RunConfig(command="bench", mem_budget=4096)
+        assert cfg.skeleton_config().mem_budget_bytes == 4096
+        assert cfg.skeleton_config(mem_efficient=False).mem_budget_bytes is None
 
     def test_digest_is_order_insensitive_for_dicts(self):
         a = result_digest({"x": 1, "y": [1, 2]})

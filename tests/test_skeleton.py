@@ -8,7 +8,6 @@ import pytest
 
 from oracles import random_dag, true_skeleton_edges
 from stablepc import (
-    BatchPlan,
     Dag,
     Dataset,
     DiscreteSuffStat,
@@ -20,6 +19,7 @@ from stablepc import (
     decide_edges,
     estimate_task_cost,
     gaussian_suffstat,
+    pc_simple,
     plan_batches,
     skeleton_stable,
 )
@@ -70,7 +70,8 @@ def adjacency(p, nbrs):
 
 
 def decide_one(level, p, nbrs, edge, test):
-    """``decide_edges`` on a one-edge block: (sepset, tests, degenerate)."""
+    """``decide_edges`` on a one-edge block: (sepset, tests, degenerate,
+    largest p)."""
     [decision] = decide_edges((level, adjacency(p, nbrs)),
                               np.array([edge], dtype=np.int64), test, 0.01)
     return decision
@@ -79,7 +80,8 @@ def decide_one(level, p, nbrs, edge, test):
 class TestDecideEdge:
     def test_level_zero_single_test(self):
         stat = GaussianSuffStat(np.eye(3), 100)
-        sepset, tests, _ = decide_one(0, 3, [(1, 2), (0, 2)], (0, 1), FisherZTest(stat))
+        sepset, tests, _, _ = decide_one(0, 3, [(1, 2), (0, 2)], (0, 1),
+                                         FisherZTest(stat))
         assert sepset == () and tests == 1
 
     def test_enumeration_order_i_side_first(self):
@@ -99,8 +101,8 @@ class TestDecideEdge:
 
     def test_dedup_skips_shared_subsets(self):
         stat = GaussianSuffStat(np.eye(5), 100)
-        sepset, tests, _ = decide_one(1, 5, [(1, 2, 3), (0, 2, 3)], (0, 1),
-                                      FisherZTest(stat))
+        sepset, tests, _, _ = decide_one(1, 5, [(1, 2, 3), (0, 2, 3)], (0, 1),
+                                         FisherZTest(stat))
         assert sepset is not None and tests == 1  # first set (2,) accepts
 
     def test_degenerate_counts_as_dependence(self):
@@ -111,12 +113,20 @@ class TestDecideEdge:
                          [1.0, 0.49, 1.0, 0.7],
                          [0.7, 0.7, 0.7, 1.0]])
         stat = GaussianSuffStat(corr, 100)
-        sepset, tests, degenerate = decide_one(1, 4, [(1, 2, 3), (0, 2, 3)], (0, 1),
-                                               FisherZTest(stat))
+        sepset, tests, degenerate, largest = decide_one(
+            1, 4, [(1, 2, 3), (0, 2, 3)], (0, 1), FisherZTest(stat))
         # sets ordered (2,), (3,): (2,) degenerate -> skipped, (3,) accepts
         assert sepset == (3,)
         assert tests == 2
         assert degenerate == 1
+        # the accepting p-value is not counted and the NaN of (2,) is no value
+        assert largest is None
+        # 0 - 3 stays: (1,) rejects with a positive p-value, (2,) is degenerate
+        sepset, tests, degenerate, largest = decide_one(
+            1, 4, [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)], (0, 3),
+            FisherZTest(stat))
+        assert (sepset, tests, degenerate) == (None, 2, 1)
+        assert largest == FisherZTest(stat)(0, 3, (1,)).p_value > 0.0
 
     def test_block_equals_one_edge_blocks(self):
         # the rounds of a block leave each edge's decision as it is alone
@@ -127,7 +137,7 @@ class TestDecideEdge:
         block = decide_edges(shared, rows, FisherZTest(suff), 0.01)
         assert block == [decide_edges(shared, rows[k:k + 1], FisherZTest(suff), 0.01)[0]
                          for k in range(len(rows))]
-        assert len({tests for _, tests, _ in block}) > 1
+        assert len({tests for _, tests, _, _ in block}) > 1
 
 
 class TestPlanBatches:
@@ -136,45 +146,33 @@ class TestPlanBatches:
 
     def test_single_batch_without_mem_flag(self):
         plan = plan_batches(self.small_tasks(1000), SkeletonConfig(), 64)
-        assert len(plan.batches) == 1 and len(plan.batches[0]) == 1000
+        assert len(plan) == 1 and len(plan[0]) == 1000
 
     def test_budget_partition_sizes(self):
-        cfg = SkeletonConfig(mem_efficient=True, mem_budget_bytes=1024,
-                             num_workers=2)
+        cfg = SkeletonConfig(mem_budget_bytes=1024, num_workers=2)
         tasks = self.small_tasks(100)
         plan = plan_batches(tasks, cfg, 64)
         # per worker: 1024 // (64*2) = 8 -> batch size 16
-        sizes = [len(b) for b in plan.batches]
+        sizes = [len(b) for b in plan]
         assert sizes == [16] * 6 + [4]
-        assert np.array_equal(np.concatenate(plan.batches), tasks)
+        assert np.array_equal(np.concatenate(plan), tasks)
 
     def test_budget_floor_is_one_per_worker(self):
-        cfg = SkeletonConfig(mem_efficient=True, mem_budget_bytes=1,
-                             num_workers=3)
+        cfg = SkeletonConfig(mem_budget_bytes=1, num_workers=3)
         plan = plan_batches(self.small_tasks(10), cfg, 10 ** 9)
-        assert [len(b) for b in plan.batches] == [3, 3, 3, 1]
+        assert [len(b) for b in plan] == [3, 3, 3, 1]
 
     def test_forced_batch_size_overrides(self):
         cfg = SkeletonConfig(force_batch_size=7)
         plan = plan_batches(self.small_tasks(20), cfg, 64)
-        assert [len(b) for b in plan.batches] == [7, 7, 6]
-
-    def test_default_budget_used(self):
-        cfg = SkeletonConfig(mem_efficient=True, num_workers=1)
-        tasks = self.small_tasks(50)
-        plan = plan_batches(tasks, cfg, DEFAULT_MEM_BUDGET_BYTES // 10)
-        assert [len(b) for b in plan.batches] == [10] * 5
+        assert [len(b) for b in plan] == [7, 7, 6]
 
     def test_empty_tasks(self):
-        assert plan_batches([], SkeletonConfig(), 64).batches == ()
+        assert plan_batches([], SkeletonConfig(), 64) == ()
 
     def test_invalid_cost(self):
         with pytest.raises(ValueError):
             plan_batches(self.small_tasks(3), SkeletonConfig(), 0)
-
-    def test_batchplan_rejects_empty_chunk(self):
-        with pytest.raises(ValueError):
-            BatchPlan(([],))
 
 
 class TestEstimateTaskCost:
@@ -295,7 +293,8 @@ def counts(stats):
 
 
 class TestBatchedPath:
-    """Levels and search through ``pvalues`` against the scalar adapter."""
+    """Levels, search and PC-simple through ``pvalues`` against the scalar
+    adapter."""
 
     def test_scalar_adapter_matches_batched(self):
         suff = duplicated_column_case()
@@ -329,6 +328,31 @@ class TestBatchedPath:
         reference = run_outputs(suff, FisherZTest(suff), suff.p, SkeletonConfig())
         assert len(stats.levels) > 1 and stats.search_tests > 0
         assert np.array_equal(adj, reference[0]) and seps == reference[1]
+
+    def test_pc_simple_never_calls_scalar_fisher_z(self):
+        suff = gaussian_case(8, p=12)
+        for target in range(suff.p):
+            got = pc_simple(suff, _BatchedOnlyFisherZ(suff), target, 0.01,
+                            SkeletonConfig())
+            assert got == pc_simple(suff, FisherZTest(suff), target, 0.01,
+                                    SkeletonConfig())
+
+    def test_pc_simple_scalar_adapter_matches_batched(self):
+        # targets 0 and 9 are copies, so every set holding the other copy
+        # is degenerate
+        suff = duplicated_column_case()
+        for target in (0, 9, 4):
+            reference = pc_simple(suff, FisherZTest(suff), target, 0.01,
+                                  SkeletonConfig())
+            assert reference.members
+            for workers in (1, 2):
+                for batch in (1, 7, None):
+                    cfg = SkeletonConfig(num_workers=workers, force_batch_size=batch)
+                    for test in (FisherZTest(suff), _ScalarOnly(FisherZTest(suff))):
+                        got = pc_simple(suff, test, target, 0.01, cfg)
+                        assert got == reference
+                        assert list(got.p_values.items()) == \
+                            list(reference.p_values.items())
 
 
 class TestSkeletonStable:
@@ -370,8 +394,9 @@ class TestSkeletonStable:
         for workers in (2, 4):
             for mem in (False, True):
                 for batch in (1, 7, None):
-                    cfg = SkeletonConfig(num_workers=workers, mem_efficient=mem,
-                                         force_batch_size=batch)
+                    cfg = SkeletonConfig(
+                        num_workers=workers, force_batch_size=batch,
+                        mem_budget_bytes=DEFAULT_MEM_BUDGET_BYTES if mem else None)
                     adj, seps, stats = run_outputs(suff, FisherZTest(suff),
                                                    suff.p, cfg)
                     assert np.array_equal(adj, reference[0])
@@ -458,7 +483,7 @@ class TestSkeletonStable:
         suff = gaussian_case(4, p=10)
         _, _, unbatched = skeleton_stable(suff, FisherZTest(suff), 10,
                                           SkeletonConfig())
-        cfg = SkeletonConfig(mem_efficient=True, force_batch_size=5)
+        cfg = SkeletonConfig(mem_budget_bytes=DEFAULT_MEM_BUDGET_BYTES, force_batch_size=5)
         _, _, batched = skeleton_stable(suff, FisherZTest(suff), 10, cfg)
         assert unbatched.peak_tasks_in_flight == 45
         assert batched.peak_tasks_in_flight == 5

@@ -1,4 +1,5 @@
-"""Structure checks on the package source: no private reach-ins.
+"""Structure checks on the package source: no private reach-ins, no stale
+exports.
 
 A module of ``stablepc`` may import another module's public names only; an
 underscore name is that module's own business.  Dunder names such as
@@ -7,6 +8,8 @@ underscore name is that module's own business.  Dunder names such as
 
 import ast
 from pathlib import Path
+
+import stablepc
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stablepc"
 
@@ -43,3 +46,9 @@ def test_no_module_imports_a_private_name():
                  for path in modules
                  for line, module, name in private_imports(path.read_text(encoding="utf-8"))]
     assert reach_ins == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in stablepc.__all__ if not hasattr(stablepc, name)]
+    assert missing == []
+    assert len(set(stablepc.__all__)) == len(stablepc.__all__)

@@ -161,7 +161,10 @@ class DiscreteSuffStat:
             col = codes[:, v]
             if col.size and (col.min() < 0 or col.max() >= a):
                 raise ValueError(f"codes of column {v} outside [0, {a})")
-        codes = codes.copy()
+        # One column-contiguous copy: a variable's samples are one contiguous
+        # row of ``codes.T``, and int32 codes build int32 table keys.
+        codes = np.array(codes, dtype=np.int32 if max(arities, default=1) <= 1 << 31
+                         else np.int64, order="F")
         codes.setflags(write=False)
         self.codes = codes
         self.arities = arities

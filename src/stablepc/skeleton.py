@@ -59,8 +59,7 @@ DEFAULT_MEM_BUDGET_BYTES = 512 * 1024 * 1024
 GAUSSIAN_TASK_BASE = 512       # task + decision bookkeeping
 GAUSSIAN_TASK_CELL = 48        # submatrix entry + inverse + factorization scratch
 DISCRETE_TASK_BASE = 512
-DISCRETE_TABLE_CELL = 16       # observed count + expected frequency per cell
-MAX_TABLE_CELLS = 1 << 20
+DISCRETE_TABLE_CELL = 16       # int64 count plus the kernel's scratch per table cell
 # Most task rows one ``decide`` call receives, and most sets one ``pvalues``
 # call receives.  It caps a block's per-row state (a set generator per edge)
 # and the stacked submatrices of a call, whatever the batch size or the
@@ -323,18 +322,22 @@ def probe_free_memory() -> int | None:
 def estimate_task_cost(level: int, suff: object) -> int:
     """Deterministic per-task memory estimate in bytes for batch planning.
 
-    Gaussian tasks scale with the (level+2)-square submatrix; discrete tasks
-    with the contingency cells of a worst-case conditioning set (the level
-    largest arities), capped.  Statistics without a recognized kind (the
-    d-separation oracle) fall back to the Gaussian formula.
+    Gaussian tasks scale with the (level+2)-square submatrix.  Discrete
+    tasks scale with the cells of the largest table a test can build: the
+    G-squared and chi-squared kernels count at most min(n, prod of the set's
+    arities) strata of a_i * a_j cells, bounded here by the level largest
+    arities for the set and the two largest for the pair.  Statistics
+    without a recognized kind (the d-separation oracle) fall back to the
+    Gaussian formula.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
     if isinstance(suff, DiscreteSuffStat):
-        cells = 1
-        for a in sorted(suff.arities, reverse=True)[:level]:
-            cells = min(cells * a, MAX_TABLE_CELLS)
-        return DISCRETE_TASK_BASE + DISCRETE_TABLE_CELL * cells
+        largest = sorted(suff.arities, reverse=True)
+        strata = 1
+        for a in largest[:level]:
+            strata = min(strata * a, suff.n)
+        return DISCRETE_TASK_BASE + DISCRETE_TABLE_CELL * strata * math.prod(largest[:2])
     side = level + 2
     return GAUSSIAN_TASK_BASE + GAUSSIAN_TASK_CELL * side * side
 

@@ -4,17 +4,22 @@ Everything here is deliberately implemented differently from the library:
 d-separation by exhaustive path enumeration (the library moralizes),
 equivalence classes by enumerating DAG orientations, partial correlation by
 regressing out the conditioning set from raw data, total effects by directed
-path products, and high-precision tail probabilities via mpmath.
+path products, and high-precision tail probabilities via mpmath.  The
+discrete tests have two references: one full contingency table per call (the
+library's former scalar code, which its batched kernel must match bit for
+bit) and dict counting over the observed strata only.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from itertools import combinations, product
 
 import mpmath
 import numpy as np
 
-from stablepc import Cpdag, Dag
+from stablepc import Cpdag, Dag, DiscreteSuffStat, chi2_sf
 from stablepc.graphs import ARROW, TAIL
 
 mpmath.mp.dps = 50
@@ -235,3 +240,67 @@ def sample_binary_network(dag: Dag, n: int, rng: np.random.Generator) -> np.ndar
             theta = np.full(n, probs[0])
         codes[:, v] = (rng.random(n) < theta).astype(np.int64)
     return codes
+
+
+def contingency_table(stat: DiscreteSuffStat, i: int, j: int,
+                      s: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Per-stratum i-by-j contingency tables over the full arity product of
+    s, strata keyed in the order s is given, and the dof."""
+    i, j = (i, j) if i < j else (j, i)
+    codes = np.asarray(stat.codes, dtype=np.int64)
+    ai, aj = stat.arities[i], stat.arities[j]
+    strata = 1
+    key = np.zeros(stat.n, dtype=np.int64)
+    for k in s:
+        key = key * stat.arities[k] + codes[:, k]
+        strata *= stat.arities[k]
+    flat = (key * ai + codes[:, i]) * aj + codes[:, j]
+    counts = np.bincount(flat, minlength=strata * ai * aj).reshape(strata, ai, aj)
+    dof = float((ai - 1) * (aj - 1) * strata)
+    return counts, dof
+
+
+def expected_counts(counts: np.ndarray) -> np.ndarray:
+    """Independence-model expected counts per stratum; empty strata are zeroed."""
+    totals = counts.sum(axis=(1, 2))
+    rows = counts.sum(axis=2)
+    cols = counts.sum(axis=1)
+    safe = np.where(totals > 0, totals, 1)
+    expected = rows[:, :, None] * cols[:, None, :] / safe[:, None, None].astype(float)
+    expected[totals == 0] = 0.0
+    return expected
+
+
+def discrete_table_reference(stat: DiscreteSuffStat, i: int, j: int, s,
+                             pearson: bool) -> tuple[float, float, float]:
+    """(statistic, p, dof) of the G-squared (Pearson chi-squared if
+    ``pearson``) test from one full table, s taken in ascending order."""
+    counts, dof = contingency_table(stat, i, j, tuple(sorted(s)))
+    expected = expected_counts(counts)
+    if pearson:
+        positive = expected > 0
+        x = float(np.sum((counts[positive] - expected[positive]) ** 2
+                         / expected[positive]))
+    else:
+        observed = counts > 0
+        x = 2.0 * float(np.sum(counts[observed]
+                               * np.log(counts[observed] / expected[observed])))
+    if dof == 0:
+        return x, 1.0, 0.0
+    return x, chi2_sf(x, dof), dof
+
+
+def g_squared_dict(codes: np.ndarray, arities, i: int, j: int, s) -> tuple[float, int]:
+    """(G-squared, dof) by counting the observed (stratum, c_i, c_j) cells in
+    dicts; the dof is an exact int over the full arity product of s."""
+    strata = [tuple(row) for row in np.asarray(codes)[:, list(s)].tolist()]
+    ci = np.asarray(codes)[:, i].tolist()
+    cj = np.asarray(codes)[:, j].tolist()
+    cells = Counter(zip(strata, ci, cj))
+    by_i = Counter(zip(strata, ci))
+    by_j = Counter(zip(strata, cj))
+    totals = Counter(strata)
+    g = 2.0 * math.fsum(c * math.log(c * totals[t] / (by_i[t, a] * by_j[t, b]))
+                        for (t, a, b), c in cells.items())
+    dof = (arities[i] - 1) * (arities[j] - 1) * math.prod(arities[k] for k in s)
+    return g, dof

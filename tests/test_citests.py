@@ -5,13 +5,16 @@ oracles.py (mpmath at 50 digits, residual regression) and then frozen here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    discrete_table_reference,
     fisher_p_highprec,
+    g_squared_dict,
     mi_g_p_highprec,
     pcor_residuals,
 )
@@ -28,6 +31,8 @@ from stablepc import (
     GaussianSuffStat,
     GSquaredTest,
     OracleTest,
+    chi2_sf,
+    estimate_task_cost,
     gaussian_suffstat,
     make_citest,
     partial_correlation,
@@ -342,10 +347,12 @@ class TestInvariants:
         others = sorted(set(range(p)) - {i, j})
         size = int(rng.integers(0, len(others) + 1))
         s = [int(v) for v in rng.choice(others, size=size, replace=False)]
+        permuted = [s[k] for k in rng.permutation(len(s))]
         for factory in (GSquaredTest, ChiSquaredTest):
             test = factory(stat)
             a, b = test(i, j, s), test(j, i, s)
             assert a == b
+            assert test(i, j, permuted) == a
             assert 0.0 <= a.p_value <= 1.0
 
 
@@ -365,6 +372,29 @@ def random_rows(rng, p, size, count):
     drawn = np.array([rng.choice(p, size=size + 2, replace=False)
                       for _ in range(count)], dtype=np.int64)
     return drawn[:, 0], drawn[:, 1], drawn[:, 2:]
+
+
+def mixed_arity_stat(seed, n=40, p=10):
+    """Codes of arities 1-4 with some dependences: column 0 has arity 1 (a
+    dof-0 pair), column 1 has arity 4 but never takes code 3 (an empty
+    stratum whenever it is conditioned on)."""
+    rng = np.random.default_rng(seed)
+    arities = [1, 4] + [int(a) for a in rng.integers(2, 5, size=p - 2)]
+    codes = np.column_stack([rng.integers(0, a, n) for a in arities])
+    codes[:, 1] = rng.integers(0, 3, n)
+    codes[:, 3] = (codes[:, 2] + (rng.random(n) < 0.2)) % arities[3]
+    codes[:, 5] = (codes[:, 3] + codes[:, 4]) % arities[5]
+    return DiscreteSuffStat(codes, arities)
+
+
+def make_test(factory, p=4):
+    """``factory`` over a statistic of its kind with p variables."""
+    if factory in DISCRETE_TESTS:
+        return factory(DiscreteSuffStat(np.arange(10 * p).reshape(10, p) % 2, [2] * p))
+    return factory(identity_stat(p))
+
+
+DISCRETE_TESTS = (GSquaredTest, ChiSquaredTest)
 
 
 class TestBatchedPvalues:
@@ -413,7 +443,73 @@ class TestBatchedPvalues:
         assert np.array_equal(got, scalar_pvalues(test, [0, 2], [5, 5], s),
                               equal_nan=True)
 
-    @pytest.mark.parametrize("factory", [FisherZTest, GaussianMiTest])
+    @pytest.mark.parametrize("factory", DISCRETE_TESTS)
+    @pytest.mark.parametrize("level", range(5))
+    def test_discrete_bit_identical_to_table_reference(self, factory, level):
+        stat = mixed_arity_stat(200 + level)
+        pearson = factory is ChiSquaredTest
+        test = factory(stat)
+        rng = np.random.default_rng(300 + level)
+        i, j, s = random_rows(rng, stat.p, level, 300)
+        reference = [discrete_table_reference(stat, a, b, sub, pearson)
+                     for a, b, sub in zip(i.tolist(), j.tolist(), s.tolist())]
+        got = test.pvalues(i, j, s)
+        assert np.array_equal(got, np.array([p for _, p, _ in reference]))
+        assert [tuple(vars(test(a, b, sub)).values())
+                for a, b, sub in zip(i.tolist(), j.tolist(), s.tolist())] == reference
+        # the call mixes table shapes and holds dof-0 rows; above level 0
+        # it holds empty strata, from level 3 on rows with more strata
+        # than samples
+        ar = np.array(stat.arities)
+        shapes = {(ar[a], ar[b], math.prod(ar[sub])) for a, b, sub in zip(i, j, s)}
+        assert len(shapes) > 1
+        assert any(dof == 0.0 for _, _, dof in reference)
+        if level:
+            assert any(1 in sub for sub in s.tolist())
+        if level >= 3:
+            assert any(math.prod(ar[sub]) > stat.n for sub in s)
+
+    @pytest.mark.parametrize("factory", DISCRETE_TESTS)
+    def test_table_bounded_by_samples(self, factory):
+        # arity 32 at level 3 with n=200: the full table would hold
+        # 32**3 * 32 * 32 (33.5M) cells, the bounded one 200 * 32 * 32
+        rng = np.random.default_rng(5)
+        n, p, level = 200, 5, 3
+        stat = DiscreteSuffStat(rng.integers(0, 32, (n, p)), [32] * p)
+        test = factory(stat)
+        cells = min(n, 32 ** level) * 32 * 32
+        one = (np.array([0]), np.array([1]), np.array([[2, 3, 4]]))
+        test.pvalues(*one)                      # warm-up call, untraced
+        tracemalloc.start()
+        try:
+            p_value = test.pvalues(*one)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= p_value <= 1.0
+        # one int64 count per bounded cell, and no more than as much again
+        # in scratch: what the batch planner budgets for the task
+        assert peak <= 2 * 8 * cells
+        assert peak <= estimate_task_cost(level, stat)
+
+    def test_huge_arity_product_matches_dict_reference(self):
+        # 32**14 strata: an int64 stratum key would overflow
+        rng = np.random.default_rng(6)
+        codes = rng.integers(0, 32, (50, 16))
+        codes[:, 1] = (codes[:, 0] + (rng.random(50) < 0.3)) % 32
+        stat = DiscreteSuffStat(codes, [32] * 16)
+        s = range(2, 16)
+        g, dof = g_squared_dict(codes, stat.arities, 0, 1, s)
+        out = GSquaredTest(stat)(0, 1, s)
+        assert out.statistic == pytest.approx(g, rel=1e-12)
+        assert out.dof == float(dof)
+        assert 0.0 <= out.p_value <= 1.0
+        assert out.p_value == pytest.approx(chi2_sf(g, float(dof)), abs=1e-12)
+        batched = GSquaredTest(stat).pvalues(np.array([0]), np.array([1]),
+                                             np.array([list(s)]))
+        assert batched[0] == out.p_value
+
+    @pytest.mark.parametrize("factory", [FisherZTest, GaussianMiTest, *DISCRETE_TESTS])
     @pytest.mark.parametrize("i, j, s", [
         ([0, 1], [1, 1], [[2], [3]]),      # i == j
         ([0, 1], [1, 2], [[2], [1]]),      # set holds i
@@ -423,7 +519,7 @@ class TestBatchedPvalues:
         ([0, 1], [1, 2], [[2, 3], [3, 3]]),  # duplicate entry
     ])
     def test_invalid_rows_raise_like_scalar(self, factory, i, j, s):
-        test = factory(identity_stat(4))
+        test = make_test(factory)
         with pytest.raises(ValueError):
             scalar_pvalues(test, i, j, s)
         with pytest.raises(ValueError):
@@ -439,6 +535,8 @@ class TestBatchedPvalues:
             test.pvalues(np.array([0.0]), np.array([1.0]), np.array([[2.0]]))
 
     def test_empty_batch(self):
-        test = GaussianMiTest(identity_stat(4))
         empty = np.empty(0, dtype=np.int64)
-        assert test.pvalues(empty, empty, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        for factory in (GaussianMiTest, *DISCRETE_TESTS):
+            test = make_test(factory)
+            got = test.pvalues(empty, empty, np.empty((0, 2), dtype=np.int64))
+            assert got.shape == (0,)

@@ -28,6 +28,7 @@ from stablepc.cli import random_weighted_dag
 from stablepc.inference import linear_sem_sample
 from stablepc.skeleton import (
     DEFAULT_MEM_BUDGET_BYTES,
+    DISCRETE_TABLE_CELL,
     GAUSSIAN_TASK_BASE,
     GAUSSIAN_TASK_CELL,
     LevelExecutor,
@@ -189,9 +190,13 @@ class TestEstimateTaskCost:
         assert dcosts == sorted(dcosts)
 
     def test_discrete_arity_product(self):
+        # min(n, prod of the level largest arities) strata of a1 * a2 cells
         discrete = DiscreteSuffStat(np.zeros((5, 4), dtype=np.int64), [2, 2, 2, 2])
         assert estimate_task_cost(3, discrete) - estimate_task_cost(0, discrete) == \
-            16 * (8 - 1)
+            DISCRETE_TABLE_CELL * (min(5, 8) - 1) * 2 * 2
+        mixed = DiscreteSuffStat(np.zeros((100, 4), dtype=np.int64), [2, 5, 3, 4])
+        assert estimate_task_cost(2, mixed) - estimate_task_cost(0, mixed) == \
+            DISCRETE_TABLE_CELL * (5 * 4 - 1) * 5 * 4
 
     def test_probe_returns_plausible_value(self):
         free = probe_free_memory()

@@ -15,9 +15,7 @@ from .citests import (
     GSquaredTest,
     OracleTest,
     TEST_IDS,
-    chi2_sf,
     make_citest,
-    normal_sf,
     partial_correlation,
 )
 from .data import (
@@ -96,7 +94,6 @@ __all__ = [
     "SkeletonGraph",
     "TEST_IDS",
     "admissible_parent_sets",
-    "chi2_sf",
     "complete_graph",
     "cpdag_from_dag",
     "d_separated",
@@ -110,7 +107,6 @@ __all__ = [
     "load_csv",
     "make_citest",
     "meek_closure",
-    "normal_sf",
     "orient_v_structures",
     "partial_correlation",
     "pc_simple",

@@ -11,13 +11,15 @@ extension point for further tests.
 A test may also offer ``pvalues(i, j, s) -> ndarray``, the batched form the
 skeleton engine prefers: int arrays of shapes (m,), (m,) and (m, l) in, one
 p-value per row out, NaN where the scalar call would raise
-``DegenerateConditioningError``.  All four statistical tests offer it, and
-their batched p-values are bit-identical to the scalar ones.  The G-squared
-and chi-squared tests run one contingency kernel for both forms; a test's
-tables hold at most min(n, prod of the set's arities) * a_i * a_j cells,
-while its dof keeps the full arity product.  Every test reads the
-conditioning set in ascending order, so the set's order never changes an
-outcome.
+``DegenerateConditioningError``.  Each of the four statistical tests is one
+kernel: canonical rows [min(i, j), max(i, j), *sorted(s)] in, each row's
+statistic, p-value and dof out, NaN p for a degenerate set.  ``pvalues`` is
+that kernel on every row, and the scalar call is the kernel on one row, so
+the two forms agree bit for bit.  The G-squared and chi-squared tests count
+contingency tables; a test's tables hold at most
+min(n, prod of the set's arities) * a_i * a_j cells, while its dof keeps the
+full arity product.  Every test reads the conditioning set in ascending
+order, so the set's order never changes an outcome.
 """
 
 from __future__ import annotations
@@ -70,28 +72,12 @@ class CiTest(Protocol):
     def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome: ...
 
 
-# The scalar path's own libm calls, applied elementwise, so that batched
-# p-values match scalar ones bit for bit (numpy's and scipy's vectorized
-# atanh, erfc and log differ from them in the last digits).
+# Python's libm calls, applied elementwise: numpy's and scipy's vectorized
+# atanh, erfc and log differ from them in the last digits, and these give
+# each row the value of the same formula evaluated with ``math``.
 _atanh = np.frompyfunc(math.atanh, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 _log = np.frompyfunc(math.log, 1, 1)
-
-
-def normal_sf(z: float) -> float:
-    """Upper tail of the standard normal, via erfc."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def chi2_sf(x: float, dof: float) -> float:
-    """Upper tail of chi-squared, via the regularized incomplete gamma."""
-    if dof <= 0:
-        return 1.0
-    if x <= 0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    return float(gammaincc(dof / 2.0, x / 2.0))
 
 
 def _validate_triplet(p: int, i: int, j: int, s: Sequence[int]) -> tuple[int, ...]:
@@ -132,30 +118,39 @@ def _canonical_rows(p: int, i: object, j: object, s: object) -> np.ndarray:
     return rows
 
 
-def partial_correlation(stat: GaussianSuffStat, i: int, j: int, s: Sequence[int]) -> float:
-    """Partial correlation of i and j given s.
+def _one_row(p: int, i: int, j: int, s: Sequence[int]) -> np.ndarray:
+    """The canonical row of one scalar call, as a (1, |s| + 2) int64 array,
+    after ``_validate_triplet``'s checks."""
+    s = _validate_triplet(p, i, j, s)
+    return np.array([[min(i, j), max(i, j), *sorted(s)]], dtype=np.int64)
 
-    Inverts the principal submatrix of the correlation matrix over
-    {i, j} | s and reads the normalized off-diagonal of the precision
-    matrix: r = -P[i,j] / sqrt(P[i,i] * P[j,j]).  Cubic in |s| and
-    independent of evaluation order, which is what the parallel executor
-    needs.  Raises DegenerateConditioningError on a singular submatrix.
-    """
-    s = _validate_triplet(stat.p, i, j, s)
-    if not s:
-        return float(stat.corr[i, j])
-    # canonical pair order makes the outcome bit-identical under (i, j) swap
-    idx = [min(i, j), max(i, j), *sorted(s)]
-    sub = stat.corr[np.ix_(idx, idx)]
-    try:
-        prec = np.linalg.inv(sub)
-    except np.linalg.LinAlgError:
-        raise DegenerateConditioningError(idx) from None
-    denom = prec[0, 0] * prec[1, 1]
-    if not np.isfinite(prec).all() or denom <= 0:
-        raise DegenerateConditioningError(idx)
-    r = -prec[0, 1] / math.sqrt(denom)
-    return min(1.0, max(-1.0, float(r)))
+
+def _chi2_sfs(x: np.ndarray, dof: np.ndarray) -> np.ndarray:
+    """Upper tail of chi-squared per (x, dof) pair, via the regularized
+    incomplete gamma: 1 where dof <= 0 or x <= 0, NaN where x is NaN."""
+    out = np.ones(len(x))
+    live = (dof > 0) & ~(x <= 0)
+    out[live] = gammaincc(dof[live] / 2.0, x[live] / 2.0)
+    return out
+
+
+class _KernelTest:
+    """A statistical test's ``__call__`` and ``pvalues``, both its one kernel
+    ``_outcomes``: canonical rows in, each row's (statistic, p, dof) out, NaN
+    p for a degenerate conditioning set."""
+
+    def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome:
+        row = _one_row(self.stat.p, i, j, s)
+        statistic, p_value, dof = (float(v[0]) for v in self._outcomes(row))
+        if math.isnan(p_value):
+            raise DegenerateConditioningError(row[0].tolist())
+        return CiTestOutcome(statistic, p_value, dof)
+
+    def pvalues(self, i: object, j: object, s: object) -> np.ndarray:
+        """One p-value per row of (i, j, s), NaN for a degenerate set; each
+        equals the scalar call's bit for bit."""
+        rows = _canonical_rows(self.stat.p, i, j, s)
+        return self._outcomes(rows)[1] if len(rows) else np.empty(0)
 
 
 def _inverse_or_nan(sub: np.ndarray) -> np.ndarray:
@@ -165,17 +160,17 @@ def _inverse_or_nan(sub: np.ndarray) -> np.ndarray:
         return np.full_like(sub, np.nan)
 
 
-def _partial_correlations(stat: GaussianSuffStat, i: object, j: object,
-                          s: object) -> np.ndarray:
-    """``partial_correlation`` of every row, NaN where it raises
-    DegenerateConditioningError.
+def _partial_correlations(stat: GaussianSuffStat, idx: np.ndarray) -> np.ndarray:
+    """Partial correlation of i and j given s per canonical row [i, j, *s],
+    NaN where the row's submatrix is singular.
 
-    The rows' submatrices, in the scalar call's canonical order, are
-    inverted as one stack; if one of them is exactly singular the stack is
-    inverted matrix by matrix instead.  Each matrix takes the scalar call's
-    LAPACK path, so every value is bit-identical to the scalar one.
+    Inverts each row's principal submatrix of the correlation matrix and
+    reads the normalized off-diagonal of the precision matrix:
+    r = -P[i,j] / sqrt(P[i,i] * P[j,j]).  The submatrices are inverted as
+    one stack; if one of them is exactly singular the stack is inverted
+    matrix by matrix instead.  A row's value depends on that row alone,
+    which is what the parallel executor needs.
     """
-    idx = _canonical_rows(stat.p, i, j, s)
     if idx.shape[1] == 2:
         return stat.corr[idx[:, 0], idx[:, 1]]  # exactly symmetric
     sub = stat.corr[idx[:, :, None], idx[:, None, :]]
@@ -191,8 +186,19 @@ def _partial_correlations(stat: GaussianSuffStat, i: object, j: object,
     return np.minimum(1.0, np.maximum(-1.0, r, out=r), out=r)
 
 
+def partial_correlation(stat: GaussianSuffStat, i: int, j: int, s: Sequence[int]) -> float:
+    """Partial correlation of i and j given s: ``_partial_correlations`` on
+    the call's one canonical row.  Raises DegenerateConditioningError on a
+    singular submatrix."""
+    row = _one_row(stat.p, i, j, s)
+    r = float(_partial_correlations(stat, row)[0])
+    if math.isnan(r):
+        raise DegenerateConditioningError(row[0].tolist())
+    return r
+
+
 @dataclass(frozen=True)
-class FisherZTest:
+class FisherZTest(_KernelTest):
     """Fisher z transform of the partial correlation, standard normal tail.
 
     With fewer than |s| + 4 samples the test cannot reject and returns
@@ -201,52 +207,31 @@ class FisherZTest:
 
     stat: GaussianSuffStat
 
-    def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome:
-        r = partial_correlation(self.stat, i, j, s)
-        effective = self.stat.n - len(tuple(s)) - 3
+    def _outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r = _partial_correlations(self.stat, rows)
+        zeros = np.zeros(len(r))                        # the dof
+        effective = self.stat.n - rows.shape[1] - 1     # n - |s| - 3
         if effective <= 0:
-            return CiTestOutcome(0.0, 1.0, 0.0)
-        clamped = math.copysign(min(abs(r), ATANH_CLAMP), r)
-        z = math.sqrt(effective) * math.atanh(clamped)
-        return CiTestOutcome(z, 2.0 * normal_sf(abs(z)), 0.0)
-
-    def pvalues(self, i: object, j: object, s: object) -> np.ndarray:
-        """One p-value per row of (i, j, s), NaN for a degenerate set; each
-        equals the scalar call's bit for bit."""
-        r = _partial_correlations(self.stat, i, j, s)
-        effective = self.stat.n - np.shape(s)[1] - 3
-        if effective <= 0:
-            return np.where(np.isnan(r), np.nan, 1.0)
+            return zeros, np.where(np.isnan(r), np.nan, 1.0), zeros
         clamped = np.copysign(np.minimum(np.abs(r), ATANH_CLAMP), r)
         z = math.sqrt(effective) * _atanh(clamped).astype(float)
-        return 2.0 * (0.5 * _erfc(np.abs(z) / math.sqrt(2.0)).astype(float))
+        return z, 2.0 * (0.5 * _erfc(np.abs(z) / math.sqrt(2.0)).astype(float)), zeros
 
 
 @dataclass(frozen=True)
-class GaussianMiTest:
+class GaussianMiTest(_KernelTest):
     """Mutual-information-style likelihood test: G = -n * ln(1 - r^2), chi2(1)."""
 
     stat: GaussianSuffStat
 
-    def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome:
-        r = partial_correlation(self.stat, i, j, s)
+    def _outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r = _partial_correlations(self.stat, rows)
         rem = 1.0 - r * r
-        if rem <= 0.0:
-            return CiTestOutcome(math.inf, 0.0, 1.0)
-        g = -self.stat.n * math.log(rem)
-        return CiTestOutcome(g, chi2_sf(g, 1.0), 1.0)
-
-    def pvalues(self, i: object, j: object, s: object) -> np.ndarray:
-        """One p-value per row of (i, j, s), NaN for a degenerate set; each
-        equals the scalar call's bit for bit."""
-        r = _partial_correlations(self.stat, i, j, s)
-        rem = 1.0 - r * r
-        out = np.where(rem <= 0.0, 0.0, np.nan)
+        g = np.where(rem <= 0.0, np.inf, np.nan)      # NaN stays for a degenerate set
         live = rem > 0.0
-        g = -self.stat.n * _log(rem[live]).astype(float)
-        # chi2_sf(g, 1.0): the upper tail is 1 at g <= 0
-        out[live] = np.where(g > 0.0, gammaincc(0.5, g / 2.0), 1.0)
-        return out
+        g[live] = -self.stat.n * _log(rem[live]).astype(float)
+        dof = np.ones(len(g))
+        return g, _chi2_sfs(g, dof), dof
 
 
 def _radix_keys(codes_t: np.ndarray, cols: np.ndarray, radix: np.ndarray) -> np.ndarray:
@@ -334,10 +319,10 @@ def _table_statistics(counts: np.ndarray, bounds: np.ndarray, pearson: bool) -> 
     return np.array([np.add.reduce(terms[a:b]) for a, b in zip(ends[:-1], ends[1:])])
 
 
-def _discrete_statistics(stat: DiscreteSuffStat, rows: np.ndarray,
-                         pearson: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The stratified G^2 (Pearson X^2 if ``pearson``) and dof of each
-    canonical row [i, j, *s] of ``_canonical_rows``.
+def _discrete_outcomes(stat: DiscreteSuffStat, rows: np.ndarray,
+                       pearson: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stratified G^2 (Pearson X^2 if ``pearson``), its chi-squared
+    p-value and its dof for each canonical row [i, j, *s].
 
     A row's tables are its i-by-j contingency tables per stratum, a stratum
     being a joint configuration of s.  Rows are grouped by table shape and
@@ -378,63 +363,27 @@ def _discrete_statistics(stat: DiscreteSuffStat, rows: np.ndarray,
                 counts.reshape(-1, ai, aj), bounds, pearson)
     if not pearson:
         statistic *= 2.0
-    return statistic, dof
-
-
-def _chi2_sfs(x: np.ndarray, dof: np.ndarray) -> np.ndarray:
-    """``chi2_sf`` of each (x, dof) pair, bit for bit."""
-    live = (dof > 0) & (x > 0)
-    out = np.where(live & np.isinf(x), 0.0, 1.0)
-    tail = live & np.isfinite(x)
-    out[tail] = gammaincc(dof[tail] / 2.0, x[tail] / 2.0)
-    return out
-
-
-def _discrete_outcome(stat: DiscreteSuffStat, i: int, j: int, s: Sequence[int],
-                      pearson: bool) -> CiTestOutcome:
-    s = _validate_triplet(stat.p, i, j, s)
-    row = np.array([[min(i, j), max(i, j), *sorted(s)]], dtype=np.int64)
-    statistic, dof = _discrete_statistics(stat, row, pearson)
-    x, d = float(statistic[0]), float(dof[0])
-    return CiTestOutcome(x, chi2_sf(x, d), d)
-
-
-def _discrete_pvalues(stat: DiscreteSuffStat, i: object, j: object, s: object,
-                      pearson: bool) -> np.ndarray:
-    rows = _canonical_rows(stat.p, i, j, s)
-    if not len(rows):
-        return np.empty(0)
-    return _chi2_sfs(*_discrete_statistics(stat, rows, pearson))
+    return statistic, _chi2_sfs(statistic, dof), dof
 
 
 @dataclass(frozen=True)
-class GSquaredTest:
+class GSquaredTest(_KernelTest):
     """Stratified likelihood-ratio test for discrete data."""
 
     stat: DiscreteSuffStat
 
-    def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome:
-        return _discrete_outcome(self.stat, i, j, s, pearson=False)
-
-    def pvalues(self, i: object, j: object, s: object) -> np.ndarray:
-        """One p-value per row of (i, j, s); each equals the scalar call's
-        bit for bit."""
-        return _discrete_pvalues(self.stat, i, j, s, pearson=False)
+    def _outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _discrete_outcomes(self.stat, rows, pearson=False)
 
 
 @dataclass(frozen=True)
-class ChiSquaredTest:
+class ChiSquaredTest(_KernelTest):
     """Stratified Pearson chi-squared test for discrete data."""
 
     stat: DiscreteSuffStat
 
-    def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome:
-        return _discrete_outcome(self.stat, i, j, s, pearson=True)
-
-    def pvalues(self, i: object, j: object, s: object) -> np.ndarray:
-        """One p-value per row of (i, j, s); each equals the scalar call's
-        bit for bit."""
-        return _discrete_pvalues(self.stat, i, j, s, pearson=True)
+    def _outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _discrete_outcomes(self.stat, rows, pearson=True)
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,12 @@ class RunConfig:
                 f"--mem-budget takes a byte count or 'auto', got '{self.mem_budget}'")
         if self.gen_n is not None and self.gen_n < 1:
             raise CliInputError(f"--n must be at least 1, got {self.gen_n}")
+        if self.seed < 0:
+            raise CliInputError(f"--seed must be nonnegative, got {self.seed}")
         if self.cause is not None and self.cause == self.outcome:
             raise CliInputError("--cause and --outcome must differ")
+        if not self.algos:
+            raise CliInputError("--algos names no algorithm")
         for a in self.algos:
             if a not in BENCH_ALGOS:
                 raise CliInputError(f"unknown bench algorithm '{a}'")

@@ -4,10 +4,12 @@ Everything here is deliberately implemented differently from the library:
 d-separation by exhaustive path enumeration (the library moralizes),
 equivalence classes by enumerating DAG orientations, partial correlation by
 regressing out the conditioning set from raw data, total effects by directed
-path products, and high-precision tail probabilities via mpmath.  The
-discrete tests have two references: one full contingency table per call (the
-library's former scalar code, which its batched kernel must match bit for
-bit) and dict counting over the observed strata only.
+path products, and high-precision tail probabilities via mpmath.  Each
+statistical test also has a bit-level reference, the library's former scalar
+code, which its kernel must match bit for bit: one submatrix inversion per
+call for the Gaussian tests, one full contingency table per call for the
+discrete ones (which are also checked by dict counting over the observed
+strata only).
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from itertools import combinations, product
 
 import mpmath
 import numpy as np
+from scipy.special import gammaincc
 
-from stablepc import Cpdag, Dag, DiscreteSuffStat, chi2_sf
+from stablepc import (Cpdag, Dag, DegenerateConditioningError, DiscreteSuffStat,
+                      GaussianSuffStat)
 from stablepc.graphs import ARROW, TAIL
 
 mpmath.mp.dps = 50
@@ -220,6 +224,62 @@ def mi_g_p_highprec(r: float, n: int) -> float:
     g = -mpmath.mpf(n) * mpmath.log(1 - mpmath.mpf(r) ** 2)
     return float(mpmath.gammainc(mpmath.mpf(1) / 2, g / 2, mpmath.inf,
                                  regularized=True))
+
+
+def normal_sf(z: float) -> float:
+    """Upper tail of the standard normal, via erfc."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def chi2_sf(x: float, dof: float) -> float:
+    """Upper tail of chi-squared, via the regularized incomplete gamma."""
+    if dof <= 0:
+        return 1.0
+    if x <= 0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    return float(gammaincc(dof / 2.0, x / 2.0))
+
+
+def partial_correlation_reference(stat: GaussianSuffStat, i: int, j: int, s) -> float:
+    """Partial correlation from one inversion of the principal submatrix
+    over [min(i, j), max(i, j), *sorted(s)]; raises
+    DegenerateConditioningError on a singular one."""
+    s = tuple(s)
+    if not s:
+        return float(stat.corr[i, j])
+    idx = [min(i, j), max(i, j), *sorted(s)]
+    sub = stat.corr[np.ix_(idx, idx)]
+    try:
+        prec = np.linalg.inv(sub)
+    except np.linalg.LinAlgError:
+        raise DegenerateConditioningError(idx) from None
+    denom = prec[0, 0] * prec[1, 1]
+    if not np.isfinite(prec).all() or denom <= 0:
+        raise DegenerateConditioningError(idx)
+    r = -prec[0, 1] / math.sqrt(denom)
+    return min(1.0, max(-1.0, float(r)))
+
+
+def gaussian_reference(stat: GaussianSuffStat, i: int, j: int, s,
+                       mi: bool) -> tuple[float, float, float]:
+    """(statistic, p, dof) of the Fisher z test (the Gaussian MI test if
+    ``mi``) from one partial correlation; raises
+    DegenerateConditioningError on a singular set."""
+    r = partial_correlation_reference(stat, i, j, s)
+    if mi:
+        rem = 1.0 - r * r
+        if rem <= 0.0:
+            return math.inf, 0.0, 1.0
+        g = -stat.n * math.log(rem)
+        return g, chi2_sf(g, 1.0), 1.0
+    effective = stat.n - len(tuple(s)) - 3
+    if effective <= 0:
+        return 0.0, 1.0, 0.0
+    clamped = math.copysign(min(abs(r), 1.0 - 1e-12), r)
+    z = math.sqrt(effective) * math.atanh(clamped)
+    return z, 2.0 * normal_sf(abs(z)), 0.0
 
 
 def sample_binary_network(dag: Dag, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,14 +6,17 @@ oracles.py (mpmath at 50 digits, residual regression) and then frozen here.
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    chi2_sf,
     discrete_table_reference,
     fisher_p_highprec,
+    gaussian_reference,
     g_squared_dict,
     mi_g_p_highprec,
     pcor_residuals,
@@ -31,7 +34,6 @@ from stablepc import (
     GaussianSuffStat,
     GSquaredTest,
     OracleTest,
-    chi2_sf,
     estimate_task_cost,
     gaussian_suffstat,
     make_citest,
@@ -119,8 +121,8 @@ class TestPartialCorrelation:
                          [0.5, 0.5, 1.0]])
         stat = GaussianSuffStat(corr, 30)
         with pytest.raises(DegenerateConditioningError) as err:
-            partial_correlation(stat, 0, 2, [1])
-        assert 1 in err.value.variables
+            partial_correlation(stat, 2, 0, [1])
+        assert err.value.variables == (0, 2, 1)
 
     def test_validation(self):
         stat = identity_stat(4)
@@ -374,6 +376,18 @@ def random_rows(rng, p, size, count):
     return drawn[:, 0], drawn[:, 1], drawn[:, 2:]
 
 
+def outcomes_or_none(call, i, j, s):
+    """``call(a, b, sub)`` per row as a tuple, None where it raises
+    DegenerateConditioningError."""
+    out = []
+    for a, b, sub in zip(i.tolist(), j.tolist(), s.tolist()):
+        try:
+            out.append(tuple(call(a, b, sub)))
+        except DegenerateConditioningError:
+            out.append(None)
+    return out
+
+
 def mixed_arity_stat(seed, n=40, p=10):
     """Codes of arities 1-4 with some dependences: column 0 has arity 1 (a
     dof-0 pair), column 1 has arity 4 but never takes code 3 (an empty
@@ -403,16 +417,30 @@ class TestBatchedPvalues:
     @pytest.mark.parametrize("factory", [FisherZTest, GaussianMiTest])
     @pytest.mark.parametrize("level", range(5))
     def test_bit_identical_to_scalar(self, factory, level):
+        # both forms against the former scalar code, singular sets included
         rng = np.random.default_rng(100 + level)
         data = rng.standard_normal((40, 12))
         data[:, 5] += 2.0 * data[:, 3]       # strong and weak dependences
         data[:, 7] += 0.3 * data[:, 5]
         ds = Dataset(data, [f"v{k}" for k in range(12)], [Continuous()] * 12)
-        test = factory(gaussian_suffstat(ds))
+        corr = gaussian_suffstat(ds).corr.copy()
+        corr[9], corr[:, 9] = corr[8], corr[8]  # 9 copies 8: r = 1 for the pair,
+        stat = GaussianSuffStat(corr, 40)       # and a set holding both is singular
+        test = factory(stat)
         i, j, s = random_rows(rng, 12, level, 400)
+        reference = outcomes_or_none(
+            partial(gaussian_reference, stat, mi=factory is GaussianMiTest), i, j, s)
+        expected = np.array([math.nan if o is None else o[1] for o in reference])
         got = test.pvalues(i, j, s)
         assert got.shape == (400,)
-        assert np.array_equal(got, scalar_pvalues(test, i, j, s))
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert outcomes_or_none(lambda *row: vars(test(*row)).values(), i, j, s) == reference
+        # without a singular matrix the stack is inverted in one call
+        regular = ~np.isnan(expected)
+        assert np.array_equal(test.pvalues(i[regular], j[regular], s[regular]),
+                              expected[regular])
+        assert regular.all() if level == 0 else not regular.all()
+        assert any(sorted((a, b)) == [8, 9] for a, b in zip(i.tolist(), j.tolist()))
 
     @pytest.mark.parametrize("factory", [FisherZTest, GaussianMiTest])
     def test_singular_submatrix_gives_nan(self, factory):
@@ -425,8 +453,9 @@ class TestBatchedPvalues:
         i = np.array([0, 2, 2, 0])
         j = np.array([2, 3, 0, 3])
         s = np.array([[1], [0], [3], [2]])
-        with pytest.raises(DegenerateConditioningError):
-            test(0, 2, [1])
+        with pytest.raises(DegenerateConditioningError) as err:
+            test(2, 0, [1])
+        assert err.value.variables == (0, 2, 1)     # the canonical row
         got = test.pvalues(i, j, s)
         assert np.isnan(got[0]) and not np.isnan(got[1:]).any()
         assert np.array_equal(got, scalar_pvalues(test, i, j, s), equal_nan=True)
@@ -536,7 +565,7 @@ class TestBatchedPvalues:
 
     def test_empty_batch(self):
         empty = np.empty(0, dtype=np.int64)
-        for factory in (GaussianMiTest, *DISCRETE_TESTS):
+        for factory in (FisherZTest, GaussianMiTest, *DISCRETE_TESTS):
             test = make_test(factory)
             got = test.pvalues(empty, empty, np.empty((0, 2), dtype=np.int64))
             assert got.shape == (0,)

@@ -251,8 +251,10 @@ class TestBench:
     ["ida", "--cause", "99", "--outcome", "0"],
     ["ida", "--cause", "1", "--outcome", "1"],
     ["gen", "--p", "8", "--density", "0.3", "--n", "0"],
+    ["gen", "--p", "8", "--density", "0.3", "--n", "50", "--seed", "-1"],
+    ["bench", "--algos", ","],
 ], ids=["max-level", "pcsimple-target", "bench-target", "ida-cause",
-        "ida-same-pair", "gen-n"])
+        "ida-same-pair", "gen-n", "gen-seed", "bench-empty-algos"])
 def test_bad_flag_value_exits_two(tmp_path, capsys, argv):
     if argv[0] != "gen":
         run(["gen", "--output", str(tmp_path / "data"), "--p", "8",

@@ -3,7 +3,8 @@ exports.
 
 A module of ``stablepc`` may import another module's public names only; an
 underscore name is that module's own business.  Dunder names such as
-``__version__`` are public.
+``__version__`` are public.  The package ``__init__`` imports exactly what
+its ``__all__`` exports, so a half-removed export cannot stay.
 """
 
 import ast
@@ -30,6 +31,18 @@ def private_imports(source: str) -> list[tuple[int, str, str]]:
     return found
 
 
+def unexported_imports(source: str) -> list[str]:
+    """Names that ``source`` imports but leaves out of its ``__all__``."""
+    tree = ast.parse(source)
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__"
+                            for target in node.targets))
+    return [alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if (alias.asname or alias.name) not in exported]
+
+
 def test_detector_flags_private_names():
     source = ("from .skeleton import _WORKER_CONTEXT, run_level\n"
               "from stablepc.graphs import _helper\n"
@@ -52,3 +65,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in stablepc.__all__ if not hasattr(stablepc, name)]
     assert missing == []
     assert len(set(stablepc.__all__)) == len(stablepc.__all__)
+
+
+def test_detector_flags_unexported_imports():
+    source = ("from .citests import chi2_sf, make_citest\n"
+              "from .data import load_csv as load\n"
+              "__all__ = ['load', 'make_citest']\n")
+    assert unexported_imports(source) == ["chi2_sf"]
+
+
+def test_init_imports_only_exported_names():
+    source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unexported_imports(source) == []

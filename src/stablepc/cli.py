@@ -38,7 +38,7 @@ from .data import (
     sample_covariance,
     write_csv,
 )
-from .graphs import Dag, GraphError, dag_from_json_dict
+from .graphs import Dag, GraphError, SepsetMap, dag_from_json_dict
 from .inference import ida_effects, linear_sem_population_cov, linear_sem_sample, pc_simple
 from .orientation import meek_closure, orient_v_structures
 from .skeleton import (
@@ -138,15 +138,28 @@ class RunConfig:
         )
 
 
+def _sepsets_json(obj: object) -> dict:
+    if isinstance(obj, SepsetMap):
+        return obj.to_json_dict()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def result_digest(payload: object) -> str:
-    """SHA-256 of the canonical JSON serialization of a result payload."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the canonical JSON serialization of a result payload; a
+    ``SepsetMap`` in it stands for its ``to_json_dict()``."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                           default=_sepsets_json)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    """Sorted keys, two-space indent, final newline; a ``SepsetMap`` writes
+    that same text from its arrays, in bounded pieces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if isinstance(payload, SepsetMap):
+            fh.writelines(payload.json_chunks())
+        else:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -240,9 +253,10 @@ def run_pipeline(cfg: RunConfig, algo: str, inputs: Inputs, scfg: SkeletonConfig
     """Run one of ``skeleton``, ``pc``, ``pcsimple`` or ``ida`` on prepared
     inputs with the engine config ``scfg``.
 
-    Returns the output files, each name mapped to its JSON payload, and the
-    peak number of tasks in flight.  ``levelstats.json`` holds wall-clock
-    readings; every other payload depends only on the inputs and the flags.
+    Returns the output files, each name mapped to its JSON payload (for
+    ``sepsets.json`` the ``SepsetMap`` itself), and the peak number of tasks
+    in flight.  ``levelstats.json`` holds wall-clock readings; every other
+    payload depends only on the inputs and the flags.
     IDA uses the sample covariance of the dataset, or under the oracle the
     population covariance of the weighted truth.
     """
@@ -263,7 +277,7 @@ def run_pipeline(cfg: RunConfig, algo: str, inputs: Inputs, scfg: SkeletonConfig
                 "oracle ida needs edge weights in the truth file to form a covariance")
         effects = ida_effects(cpdag, cov, cfg.cause, cfg.outcome)
         return {"ida.json": effects.to_json_dict()}, peak
-    files = {"skeleton.json": graph.to_json_dict(), "sepsets.json": seps.to_json_dict(),
+    files = {"skeleton.json": graph.to_json_dict(), "sepsets.json": seps,
              "levelstats.json": stats.to_json_list()}
     if cpdag is not None:
         files["cpdag.json"] = cpdag.to_json_dict()

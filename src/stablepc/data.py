@@ -295,12 +295,27 @@ def gaussian_suffstat(dataset: Dataset) -> GaussianSuffStat:
         raise DatasetError("need at least two samples for a correlation matrix")
     x = dataset.values
     centered = x - x.mean(axis=0)
-    norms = np.sqrt((centered ** 2).sum(axis=0))
+    with np.errstate(over="ignore"):     # an overflow is reported below
+        norms = np.sqrt((centered ** 2).sum(axis=0))
     scale = np.maximum(1.0, np.abs(x).max(axis=0)) * math.sqrt(dataset.n)
     for v in range(dataset.p):
         if norms[v] <= 1e-13 * scale[v]:
             raise DegenerateDataError(f"column '{dataset.names[v]}' has zero variance")
-    cross = centered.T @ centered
+    with np.errstate(over="ignore"):
+        cross = centered.T @ centered
+    # a finite but huge cell overflows the sums, which would read as zero
+    # correlations; finite data never reaches this, so no bit changes.  By
+    # Cauchy-Schwarz an infinite cross product comes with an infinite norm,
+    # and a non-finite norm always names a column at fault, so the norms are
+    # asked first and the cross products only when every norm is finite.
+    overflow = ~np.isfinite(norms)
+    if not overflow.any():
+        overflow = ~np.isfinite(cross).all(axis=0)
+    if overflow.any():
+        v = int(np.flatnonzero(overflow)[0])
+        raise DegenerateDataError(
+            f"column '{dataset.names[v]}' overflows the sums of squares; "
+            "rescale its values")
     corr = cross / np.outer(norms, norms)
     corr = np.triu(corr, k=1)
     corr = corr + corr.T

@@ -7,6 +7,7 @@ whole-graph snapshots.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
@@ -17,6 +18,8 @@ import numpy as np
 NO_END = 0
 TAIL = 1
 ARROW = 2
+# Entries per piece of SepsetMap.json_chunks: bounds the strings alive at once.
+JSON_CHUNK_ENTRIES = 1 << 15
 
 
 class GraphError(ValueError):
@@ -239,10 +242,24 @@ class SepsetMap:
     that search accepted, possibly none (``set_search``, ``get_search``).
     Orientation votes over the search result where there is one.  Equality
     compares both records.
+
+    The first-found sets live in arrays, with no object per pair, and take
+    memory in proportion to the pairs recorded.  Each write keeps its pairs'
+    codes ``i << 32 | j`` (i < j) and its (m, size) array of sets; ``set``
+    is a one-row ``set_many``.  The first read after a write joins them to
+    the table: each pair's latest set, codes ascending, the members of all
+    sets one after another.  Reads look pairs up by ``searchsorted``.  The
+    search records are a dict: the search covers only the pairs that share
+    a neighbour in the final skeleton.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], tuple[int, ...]] = {}
+        # (codes, sets) of each write since the table was last built
+        self._writes: list[tuple[np.ndarray, np.ndarray]] = []
+        self._codes = np.empty(0, dtype=np.int64)
+        self._sizes = np.empty(0, dtype=np.int32)
+        self._starts = np.empty(0, dtype=np.int64)
+        self._members = np.empty(0, dtype=np.int32)
         self._search: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
     @staticmethod
@@ -251,14 +268,92 @@ class SepsetMap:
             raise GraphError("sepset pair must be two distinct variables")
         return (i, j) if i < j else (j, i)
 
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(codes, sizes, starts, members): each pair's latest set, codes
+        ascending, the members of all sets one after another."""
+        if self._writes:
+            codes = np.concatenate([self._codes, *(c for c, _ in self._writes)])
+            sizes = np.concatenate([self._sizes, *(np.full(len(c), sets.shape[1], np.int32)
+                                                   for c, sets in self._writes)])
+            members = np.concatenate([self._members,
+                                      *(sets.ravel() for _, sets in self._writes)])
+            self._writes = []
+            order = np.argsort(codes, kind="stable")     # a pair's writes in order
+            codes = codes[order]
+            latest = np.ones(len(codes), dtype=bool)
+            latest[:-1] = codes[1:] != codes[:-1]
+            if not latest.all():
+                order, codes = order[latest], codes[latest]
+            # position of each kept member: its set's start, plus its place
+            starts = np.cumsum(sizes) - sizes
+            sizes = sizes[order]
+            self._starts = np.cumsum(sizes) - sizes
+            shift = np.repeat(starts[order] - self._starts, sizes)
+            self._codes, self._sizes = codes, sizes
+            self._members = members[shift + np.arange(len(shift))]
+        return self._codes, self._sizes, self._starts, self._members
+
+    def _records(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """The table row of each pair low[k] < high[k], -1 where it has none."""
+        codes = self._table()[0]
+        wanted = (low.astype(np.int64) << 32) | high
+        rows = np.searchsorted(codes, wanted)
+        found = (low >= 0) & (high <= np.iinfo(np.int32).max) & (rows < len(codes))
+        found[found] = codes[rows[found]] == wanted[found]
+        return np.where(found, rows, -1)
+
     def set(self, i: int, j: int, sepset: Iterable[int]) -> None:
-        s = tuple(sepset)
-        if i in s or j in s:
+        s = [int(v) for v in sepset]
+        self.set_many(np.array([[i, j]]), np.array(s, dtype=np.int64).reshape(1, len(s)))
+
+    def set_many(self, pairs: np.ndarray, sepsets: np.ndarray) -> None:
+        """Record one set per row: ``sepsets[k]`` for the pair ``pairs[k]``.
+
+        ``pairs`` is an (m, 2) array of distinct pairs and ``sepsets`` an
+        (m, size) array, one level's removals.  Equivalent to ``set`` on
+        each row in turn; a pair named twice raises ``GraphError`` and
+        leaves the map as it was.
+        """
+        pairs, sepsets = np.asarray(pairs), np.asarray(sepsets)
+        if (pairs.ndim != 2 or pairs.shape[1] != 2 or sepsets.ndim != 2
+                or len(sepsets) != len(pairs)):
+            raise GraphError("set_many needs an (m, 2) pair array and an "
+                             "(m, size) set array")
+        if not len(pairs):
+            return
+        low, high = pairs.min(axis=1), pairs.max(axis=1)
+        if (low == high).any():
+            raise GraphError("sepset pair must be two distinct variables")
+        if low.min() < 0:
+            raise GraphError(f"variable index {low.min()} is negative")
+        if high.max() > np.iinfo(np.int32).max or (sepsets.size and (
+                sepsets.min() < 0 or sepsets.max() > np.iinfo(np.int32).max)):
+            raise GraphError("variable index out of the int32 range")
+        if (sepsets == low[:, None]).any() or (sepsets == high[:, None]).any():
             raise GraphError("separating set must exclude the pair itself")
-        self._entries[self._key(i, j)] = s
+        codes = low.astype(np.int64)
+        codes <<= 32
+        codes |= high
+        del low, high
+        if not (codes[1:] > codes[:-1]).all() and not np.diff(np.sort(codes)).all():
+            raise GraphError("set_many names a pair twice")
+        self._writes.append((codes, sepsets.astype(np.int32)))
 
     def get(self, i: int, j: int) -> tuple[int, ...] | None:
-        return self._entries.get(self._key(i, j))
+        a, b = self._key(i, j)
+        row = int(self._records(np.array([a]), np.array([b]))[0])
+        if row < 0:
+            return None
+        _, sizes, starts, members = self._table()
+        return tuple(members[starts[row]:starts[row] + sizes[row]].tolist())
+
+    def set_sizes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The size of each pair (i[k], j[k])'s set, -1 where it has none."""
+        rows = self._records(np.minimum(i, j), np.maximum(i, j))
+        out = np.full(len(rows), -1, dtype=np.int64)
+        found = rows >= 0
+        out[found] = self._table()[1][rows[found]]
+        return out
 
     def set_search(self, i: int, j: int,
                    sepsets: Iterable[Iterable[int]]) -> None:
@@ -273,21 +368,66 @@ class SepsetMap:
         return self._search.get(self._key(i, j))
 
     def has(self, i: int, j: int) -> bool:
-        return self._key(i, j) in self._entries
+        a, b = self._key(i, j)
+        return bool(self._records(np.array([a]), np.array([b]))[0] >= 0)
+
+    def pair_array(self) -> np.ndarray:
+        """The pairs (i, j), i < j, that have a set, ascending, as an
+        (m, 2) array."""
+        codes = self._table()[0]
+        return np.column_stack([codes >> 32, codes & 0xFFFFFFFF])
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._entries)
+        return [(i, j) for i, j in self.pair_array().tolist()]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._table()[0])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SepsetMap)
-                and self._entries == other._entries
-                and self._search == other._search)
+                and self._search == other._search
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._table(), other._table())))
 
     def to_json_dict(self) -> dict:
-        return {f"{i},{j}": list(s) for (i, j), s in sorted(self._entries.items())}
+        _, sizes, starts, members = self._table()
+        members = members.tolist()
+        return {f"{i},{j}": members[start:start + size]
+                for (i, j), size, start in zip(self.pair_array().tolist(),
+                                               sizes.tolist(), starts.tolist())}
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json_dict(), sort_keys=True,
+        indent=2) + "\n"``, in pieces of at most ``JSON_CHUNK_ENTRIES``
+        entries each.
+
+        ``sort_keys`` orders the "i,j" strings, and "," sorts before every
+        digit, so the order is that of the decimal string of i, then of j:
+        a lexsort on each variable's rank among the sorted decimal strings.
+        """
+        pairs = self.pair_array()
+        _, sizes, starts, members = self._table()
+        if not len(pairs):
+            yield "{}\n"
+            return
+        names = [str(v) for v in range(int(pairs.max()) + 1)]
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+        order = np.lexsort((rank[pairs[:, 1]], rank[pairs[:, 0]]))
+        heads = [f'  "{name},' for name in names]
+        empty_tails = [f'{name}": []' for name in names]
+        yield "{\n"
+        for first in range(0, len(order), JSON_CHUNK_ENTRIES):
+            rows = order[first:first + JSON_CHUNK_ENTRIES]
+            i, j = pairs[rows, 0].tolist(), pairs[rows, 1].tolist()
+            tails = list(map(empty_tails.__getitem__, j))
+            for k in np.flatnonzero(sizes[rows]).tolist():
+                start, size = starts[rows[k]], sizes[rows[k]]
+                items = ",\n    ".join(map(str, members[start:start + size].tolist()))
+                tails[k] = f'{names[j[k]]}": [\n    {items}\n  ]'
+            lines = ",\n".join(map(operator.add, map(heads.__getitem__, i), tails))
+            yield lines if first == 0 else ",\n" + lines
+        yield "\n}\n"
 
 
 class Dag:

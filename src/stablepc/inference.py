@@ -109,28 +109,25 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
         raise ValueError("sufficient statistic does not expose a variable count")
     if not 0 <= target < p:
         raise ValueError(f"target {target} out of range [0, {p})")
-    candidates = [v for v in range(p) if v != target]
-    largest_p: dict[int, float] = {v: 0.0 for v in candidates}
+    candidates = np.delete(np.arange(p), target)
+    largest_p = np.zeros(p)
     with LevelExecutor(cfg.num_workers, test, alpha) as ex:
         level = 0
         while level < len(candidates) and (cfg.max_level is None or level <= cfg.max_level):
             star = np.zeros((p, p), dtype=bool)
             star[target, candidates] = star[candidates, target] = True
-            pool = np.array(candidates, dtype=np.int64)
-            rows = np.column_stack([np.minimum(pool, target), np.maximum(pool, target)])
-            results = run_level(ex, decide_edges, (level, star), rows, cfg,
-                                estimate_task_cost(level, suff))
-            keep = []
-            for x, (sepset, _, _, p_value) in zip(candidates, results):
-                if p_value is not None:
-                    largest_p[x] = max(largest_p[x], p_value)
-                if sepset is None:
-                    keep.append(x)
-            candidates = keep
+            rows = np.column_stack([np.minimum(candidates, target),
+                                    np.maximum(candidates, target)])
+            found, _, _, _, largest = run_level(ex, decide_edges, (level, star), rows,
+                                                cfg, estimate_task_cost(level, suff))
+            # NaN (no p-value) never exceeds the value so far
+            seen = largest_p[candidates]
+            largest_p[candidates] = np.where(largest > seen, largest, seen)
+            candidates = candidates[~found]
             level += 1
-    members = tuple(candidates)
-    return PcSimpleResult(target, members, {m: largest_p[m] for m in members},
-                          ex.peak_tasks_in_flight)
+    members = tuple(candidates.tolist())
+    p_values = dict(zip(members, largest_p[candidates].tolist()))
+    return PcSimpleResult(target, members, p_values, ex.peak_tasks_in_flight)
 
 
 def admissible_parent_sets(g: Cpdag, x: int) -> list[tuple[int, ...]]:

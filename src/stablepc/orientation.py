@@ -43,12 +43,16 @@ def orient_v_structures(skel: SkeletonGraph, seps: SepsetMap) -> Cpdag:
     the result does not depend on the order triples are visited in.  The
     returned CPDAG carries the ambiguous triples.
     """
-    for a, b in seps.pairs():
-        if skel.has_edge(a, b):
-            raise GraphError(
-                f"sepset recorded for present edge {a} - {b}; "
-                "sepsets must only cover removed edges"
-            )
+    pairs = seps.pair_array()
+    if len(pairs) and pairs.max() >= skel.p:
+        raise GraphError(f"variable index {pairs.max()} out of range [0, {skel.p})")
+    present = pairs[skel.adj[pairs[:, 0], pairs[:, 1]]]
+    if len(present):
+        a, b = present[0].tolist()
+        raise GraphError(
+            f"sepset recorded for present edge {a} - {b}; "
+            "sepsets must only cover removed edges"
+        )
     arrows: set[tuple[int, int]] = set()
     ambiguous: set[tuple[int, int, int]] = set()
     for k in range(skel.p):
@@ -148,9 +152,12 @@ def cpdag_from_dag(dag: Dag) -> Cpdag:
     separating sets derived from d-separation.
     """
     skel = dag.skeleton()
+    pairs = np.argwhere(np.triu(~skel.adj, 1))
+    sets = [_true_sepset(dag, i, j) for i, j in pairs.tolist()]
+    sizes = np.array([len(s) for s in sets], dtype=np.int64)
     seps = SepsetMap()
-    for i in range(dag.p):
-        for j in range(i + 1, dag.p):
-            if not skel.has_edge(i, j):
-                seps.set(i, j, _true_sepset(dag, i, j))
+    for size in np.unique(sizes).tolist():          # one bulk add per set size
+        rows = np.flatnonzero(sizes == size).tolist()
+        seps.set_many(pairs[rows], np.array([sets[k] for k in rows],
+                                            dtype=np.int64).reshape(len(rows), size))
     return meek_closure(orient_v_structures(skel, seps))

@@ -15,11 +15,17 @@ produce results identical to the sequential run.  The engine has two
 PC-simple's candidate levels (``inference.pc_simple``), and ``_search_pairs``
 for the separating-set search after the last level.
 
-A skeleton level decides a block in rounds: each round evaluates the next
-conditioning set of every undecided edge with one call of the test's batched
-``pvalues``.  The search evaluates all sets of one size of a block's pairs
-together.  A test without ``pvalues`` is called once per set through
-``_scalar_pvalues``, in the same rounds.
+A ``decide`` function returns its block's decisions as a tuple of arrays
+with one entry per row, and ``run_level`` concatenates each array once over
+the level's blocks, so no Python object is built per edge.  A skeleton level
+decides a block in rounds: each round evaluates the next conditioning set of
+every undecided edge with one call of the test's batched ``pvalues``.  At
+level 0 every edge has the one set (), so a block is one ``pvalues`` call
+and one comparison.  The search evaluates all sets of one size of a block's
+pairs together.  A test without ``pvalues`` is called once per set through
+``_scalar_pvalues``, in the same rounds.  The merge hands a level's removed
+pairs and their sets to the array-backed ``SepsetMap`` in one ``set_many``
+call.
 
 Batching bounds how many tasks are dispatched at once so a run on a
 memory-constrained machine does not hold the whole level in flight while
@@ -198,7 +204,7 @@ def _neighbours(adj: np.ndarray, rows: np.ndarray) -> dict[int, tuple[int, ...]]
 
 
 def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
-                 alpha: float) -> list[tuple[tuple[int, ...] | None, int, int, float | None]]:
+                 alpha: float) -> tuple[np.ndarray, ...]:
     """Decide a block of edges for their level; first acceptance wins.
 
     ``shared`` is the level and the level-start adjacency matrix; ``rows``
@@ -206,30 +212,34 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
     i's neighbourhood minus j in lexicographic order, then from j's minus i,
     skipping sets already covered by i's side.  Round t tests the t-th set
     of every edge still undecided, in one ``pvalues`` call, so each edge
-    runs exactly the tests a set-by-set loop would.  A degenerate set (NaN)
-    counts as dependence and enumeration continues.  Returns per edge the
-    accepting set (None when the edge stays), the tests run, the degenerate
-    sets among them and the largest non-NaN p-value of the sets that did not
-    accept (None when there is none): for an edge that stays, the largest
-    p-value of all its sets.  The accepting p-value is left out so that a
-    level's results, in-process or unpickled from a worker, hold no float
-    per edge removed at its first set.
+    runs exactly the tests a set-by-set loop would; at level 0 every edge
+    has the one set (), and one call and one comparison decide the block.
+    A degenerate set (NaN) counts as dependence and enumeration continues.
+
+    Returns five arrays with one entry per edge: whether a set accepted, the
+    accepting set (a row of ``level`` ints, zeros when none did), the tests
+    run, the degenerate sets among them, and the largest non-NaN p-value of
+    the sets that did not accept (NaN when there is none): for an edge that
+    stays, the largest p-value of all its sets.
     """
     level, adj = shared
     pvalues = _pvalues(test)
-    edges = rows.tolist()
-    if level:
-        nbrs = _neighbours(adj, rows)
-        sets = [_pair_sets(_without(nbrs[i], j), _without(nbrs[j], i), level)
-                for i, j in edges]
-    else:
-        # every edge has the one set (): its sides need not be built
-        sets = [_pair_sets((), (), 0) for _ in edges]
-    sepsets: list[tuple[int, ...] | None] = [None] * len(edges)
-    tests = [0] * len(edges)
-    degenerate = [0] * len(edges)
-    largest: list[float | None] = [None] * len(edges)
-    undecided = range(len(edges))
+    m = len(rows)
+    if not level:
+        p = pvalues(rows[:, 0], rows[:, 1], np.empty((m, 0), dtype=np.int64))
+        found = p > alpha
+        degenerate = np.isnan(p)
+        return (found, np.empty((m, 0), dtype=np.int64), np.ones(m, dtype=np.int64),
+                degenerate.astype(np.int64), np.where(found | degenerate, np.nan, p))
+    nbrs = _neighbours(adj, rows)
+    sets = [_pair_sets(_without(nbrs[i], j), _without(nbrs[j], i), level)
+            for i, j in rows.tolist()]
+    found = np.zeros(m, dtype=bool)
+    accepted = np.zeros((m, level), dtype=np.int64)
+    tests = [0] * m
+    degenerate = [0] * m
+    largest = [math.nan] * m
+    undecided = range(m)
     while undecided:
         drawn = [(k, sub) for k in undecided
                  if (sub := next(sets[k], None)) is not None]
@@ -237,37 +247,44 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
         for (k, sub), p in _test_sets(pvalues, rows, drawn, level):
             tests[k] += 1
             if p > alpha:
-                sepsets[k] = sub
+                found[k] = True
+                accepted[k] = sub
                 continue
             undecided.append(k)
             if math.isnan(p):
                 degenerate[k] += 1
-            elif largest[k] is None or p > largest[k]:
+            elif math.isnan(largest[k]) or p > largest[k]:
                 largest[k] = p
-    return list(zip(sepsets, tests, degenerate, largest))
+    return (found, accepted, np.array(tests, dtype=np.int64),
+            np.array(degenerate, dtype=np.int64), np.array(largest))
 
 
 def _search_pairs(adj: np.ndarray, rows: np.ndarray, test: CiTest,
-                  alpha: float) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Every accepting set of each non-adjacent pair, and the tests run.
 
     ``adj`` is the final adjacency matrix; ``rows`` holds (i, j, min_size,
     max_size).  Each size enumerates like ``decide_edges``, over the pair's
     full neighbourhoods, and the sets of one size of every pair in the block
-    are tested together.  A degenerate set does not accept.
+    are tested together.  A degenerate set does not accept.  Returns per
+    pair the tuple of accepting sets (an object array) and the tests run.
     """
     pvalues = _pvalues(test)
     nbrs = _neighbours(adj, rows)
     pairs = rows.tolist()
     found: list[list[tuple[int, ...]]] = [[] for _ in pairs]
     tests = [0] * len(pairs)
-    for size in range(int(rows[:, 2].min()), int(rows[:, 3].max()) + 1):
+    sizes = range(int(rows[:, 2].min(initial=0)), int(rows[:, 3].max(initial=-1)) + 1)
+    for size in sizes:
         for (k, sub), p in _test_sets(pvalues, rows, _sets_of_size(pairs, nbrs, size),
                                       size):
             tests[k] += 1
             if p > alpha:
                 found[k].append(sub)
-    return [(tuple(f), t) for f, t in zip(found, tests)]
+    accepted = np.empty(len(pairs), dtype=object)
+    for k, sets in enumerate(found):
+        accepted[k] = tuple(sets)
+    return accepted, np.array(tests, dtype=np.int64)
 
 
 def _sets_of_size(pairs: list[list[int]], nbrs: dict[int, tuple[int, ...]],
@@ -290,14 +307,13 @@ def _search_rows(graph: SkeletonGraph, sepsets: SepsetMap,
     """
     adj = graph.adj.astype(np.float32)
     shares = (adj @ adj > 0) & ~graph.adj
-    degree = graph.adj.sum(axis=1).tolist()
-    rows = []
-    for i, j in np.argwhere(np.triu(shares, 1)).tolist():
-        top = max(degree[i], degree[j])
-        if max_level is not None:
-            top = min(top, max_level)
-        rows.append((i, j, len(sepsets.get(i, j)), top))
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+    pairs = np.argwhere(np.triu(shares, 1))
+    degree = graph.adj.sum(axis=1)
+    top = np.maximum(degree[pairs[:, 0]], degree[pairs[:, 1]])
+    if max_level is not None:
+        top = np.minimum(top, max_level)
+    low = sepsets.set_sizes(pairs[:, 0], pairs[:, 1])
+    return np.column_stack([pairs, low, top]).astype(np.int64)
 
 
 def probe_free_memory() -> int | None:
@@ -369,26 +385,43 @@ def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
 # ---------------------------------------------------------------------------
 # Worker-side machinery.  One set of worker processes per engine run, each
 # bound to the CI test and alpha when it starts and talking to the executor
-# over its own pipe.  Every slice travels in one format, ``(decide, shared,
-# rows)``: the client's module-level decide function (pickled by reference),
-# the level's shared snapshot and a contiguous block of the integer task rows.
-# A worker replies ``(True, results)``, or ``(False, error)`` when the slice
-# raised.
+# over its own pipe.  Every slice travels in one format, ``(decide, rows)`` or
+# ``(decide, rows, shared)``: the client's module-level decide function
+# (pickled by reference), a contiguous block of the integer task rows
+# (``_packed``) and the level's shared snapshot, sent only when it differs
+# from the one the worker last received, so a level's batches after the
+# first carry rows alone.  A worker replies ``(True, blocks)``, the columns
+# of each block of the slice as ``_packed`` lists, or ``(False, error)``
+# when the slice raised.
 
-Decide = Callable[[object, np.ndarray, CiTest, float], list]
+Decide = Callable[[object, np.ndarray, CiTest, float], tuple[np.ndarray, ...]]
 
 
 def _decide_blocks(decide: Decide, shared: object, rows: np.ndarray, test: CiTest,
-                   alpha: float) -> list:
-    """``decide`` over contiguous blocks of at most ``MAX_BLOCK_ROWS`` rows."""
-    results: list = []
-    for start in range(0, len(rows), MAX_BLOCK_ROWS):
-        results.extend(decide(shared, rows[start:start + MAX_BLOCK_ROWS], test, alpha))
-    return results
+                   alpha: float) -> list[tuple[np.ndarray, ...]]:
+    """``decide`` over contiguous blocks of at most ``MAX_BLOCK_ROWS`` rows:
+    one column tuple per block."""
+    return [decide(shared, rows[start:start + MAX_BLOCK_ROWS], test, alpha)
+            for start in range(0, len(rows), MAX_BLOCK_ROWS)]
+
+
+def _packed(columns: tuple[np.ndarray, ...]) -> list:
+    """A block's columns for the pipe: a numeric column as (dtype, shape,
+    bytes), which pickles several times faster than a small array, an
+    object column as it is."""
+    return [c if c.dtype.hasobject else (c.dtype.str, c.shape, c.tobytes())
+            for c in columns]
+
+
+def _unpacked(packed: list) -> tuple[np.ndarray, ...]:
+    """The columns that ``_packed`` took apart."""
+    return tuple(c if isinstance(c, np.ndarray) else np.ndarray(c[1], c[0], c[2])
+                 for c in packed)
 
 
 def _worker_loop(conn: Connection, test: CiTest, alpha: float) -> None:
     """Decide each slice received on ``conn`` until it sends None or closes."""
+    shared = None
     while True:
         try:
             message = conn.recv_bytes()
@@ -398,8 +431,12 @@ def _worker_loop(conn: Connection, test: CiTest, alpha: float) -> None:
             payload = pickle.loads(message)
             if payload is None:
                 return
-            decide, shared, rows = payload
-            reply = (True, _decide_blocks(decide, shared, rows, test, alpha))
+            decide, rows, *fresh = payload
+            if fresh:
+                shared, = fresh
+            rows, = _unpacked(rows)
+            reply = (True, [_packed(columns) for columns in
+                            _decide_blocks(decide, shared, rows, test, alpha)])
         except Exception as exc:
             reply = (False, repr(exc))
         conn.send(reply)
@@ -436,6 +473,8 @@ class LevelExecutor:
         self.alpha = alpha
         self.peak_tasks_in_flight = 0
         self._workers: list[tuple[multiprocessing.Process, Connection]] = []
+        # the shared snapshot each worker holds
+        self._shared: list[object] = []
 
     def __enter__(self) -> "LevelExecutor":
         return self
@@ -444,7 +483,7 @@ class LevelExecutor:
         self.close()
 
     def close(self) -> None:
-        workers, self._workers = self._workers, []
+        workers, self._workers, self._shared = self._workers, [], []
         for _, conn in workers:
             try:
                 conn.send(None)
@@ -467,22 +506,30 @@ class LevelExecutor:
                 proc.start()
                 there.close()
                 self._workers.append((proc, here))
+                self._shared.append(None)
         return self._workers
 
-    def map_slices(self, payloads: Sequence) -> list[list]:
-        """Run one slice per payload; gather results in submission order."""
+    def map_slices(self, payloads: Sequence) -> list[list[tuple[np.ndarray, ...]]]:
+        """Run one slice per payload ``(decide, shared, rows)``; gather each
+        slice's block columns in submission order.  A worker keeps the last
+        ``shared`` object it was sent, and gets it again only when another
+        object comes, so ``shared`` must not change in place."""
         workers = self._ensure_workers()
         results = []
         try:
             for start in range(0, len(payloads), len(workers)):
                 wave = payloads[start:start + len(workers)]
-                for (_, conn), payload in zip(workers, wave):
-                    conn.send(payload)
+                for k, (decide, shared, rows) in enumerate(wave):
+                    message = (decide, _packed((rows,)))
+                    if self._shared[k] is not shared:
+                        message += (shared,)
+                        self._shared[k] = shared
+                    workers[k][1].send(message)
                 for (_, conn), _ in zip(workers, wave):
                     ok, reply = conn.recv()
                     if not ok:
                         raise LevelExecutionError(f"worker failed: {reply}")
-                    results.append(reply)
+                    results.append([_unpacked(packed) for packed in reply])
         except LevelExecutionError:
             self.close()
             raise
@@ -493,27 +540,32 @@ class LevelExecutor:
 
 
 def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarray,
-              cfg: SkeletonConfig, per_task_cost: int) -> list:
+              cfg: SkeletonConfig, per_task_cost: int) -> tuple[np.ndarray, ...]:
     """Decide every task row against the shared snapshot, in row order.
 
     ``decide(shared, rows, test, alpha)`` must be a module-level function so
     that workers can unpickle it; it gets a contiguous block of at most
-    ``MAX_BLOCK_ROWS`` rows and returns one result per row, each depending on
-    its row and ``shared`` alone.  The rows are split into batches by
-    ``plan_batches``.  With one worker a batch is decided in-process; with
-    more, each worker gets an even contiguous slice of it, and the gathered
-    results are element-for-element those of the in-process run.
+    ``MAX_BLOCK_ROWS`` rows and returns a tuple of arrays (its columns) with
+    one entry per row, each depending on its row and ``shared`` alone.  The
+    rows are split into batches by ``plan_batches``.  With one worker a
+    batch is decided in-process; with more, each worker gets an even
+    contiguous slice of it.  Each column is concatenated once over the
+    level's blocks, so the result is that of one in-process call on all
+    rows, whatever the batching.
     """
-    results: list = []
+    blocks: list[tuple[np.ndarray, ...]] = []
     for batch in plan_batches(rows, cfg, per_task_cost):
         ex.peak_tasks_in_flight = max(ex.peak_tasks_in_flight, len(batch))
         if ex.num_workers == 1:
-            results.extend(_decide_blocks(decide, shared, batch, ex.test, ex.alpha))
+            blocks.extend(_decide_blocks(decide, shared, batch, ex.test, ex.alpha))
             continue
         slices = _even_slices(batch, ex.num_workers)
-        for chunk in ex.map_slices([(decide, shared, s) for s in slices]):
-            results.extend(chunk)
-    return results
+        for decided in ex.map_slices([(decide, shared, s) for s in slices]):
+            blocks.extend(decided)
+    if not blocks:
+        # no rows: the columns, empty, of an in-process call
+        return decide(shared, rows, ex.test, ex.alpha)
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _suff_dim(suff: object) -> int | None:
@@ -565,29 +617,26 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
             edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
             if len(edges) == 0:
                 break
-            decided = run_level(ex, decide_edges, (level, graph.adj.copy()), edges,
-                                cfg, estimate_task_cost(level, suff))
-            removed = [k for k, (sepset, *_) in enumerate(decided) if sepset is not None]
-            gone = edges[removed]
+            found, accepted, tests, degenerate, _ = run_level(
+                ex, decide_edges, (level, graph.adj.copy()), edges, cfg,
+                estimate_task_cost(level, suff))
+            gone = edges[found]
             graph.adj[gone[:, 0], gone[:, 1]] = graph.adj[gone[:, 1], gone[:, 0]] = False
-            for (i, j), k in zip(gone.tolist(), removed):
-                sepsets.set(i, j, decided[k][0])
+            sepsets.set_many(gone, accepted[found])
             level_rows.append(LevelStat(
                 level=level,
-                tests=sum(tests for _, tests, _, _ in decided),
-                removals=len(removed),
-                degenerate=sum(nan for _, _, nan, _ in decided),
+                tests=int(tests.sum()),
+                removals=len(gone),
+                degenerate=int(degenerate.sum()),
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             ))
             level += 1
 
         rows = _search_rows(graph, sepsets, cfg.max_level)
         cost = estimate_task_cost(int(rows[:, 3].max(initial=0)), suff)
-        search_tests = 0
-        for (i, j, _, _), (found, performed) in zip(
-                rows.tolist(), run_level(ex, _search_pairs, graph.adj.copy(), rows,
-                                         cfg, cost)):
-            sepsets.set_search(i, j, found)
-            search_tests += performed
+        searched, search_tests = run_level(ex, _search_pairs, graph.adj.copy(), rows,
+                                           cfg, cost)
+        for (i, j), sets in zip(rows[:, :2].tolist(), searched):
+            sepsets.set_search(i, j, sets)
     return graph, sepsets, LevelStats(tuple(level_rows), ex.peak_tasks_in_flight,
-                                      search_tests)
+                                      int(search_tests.sum()))

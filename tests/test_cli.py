@@ -135,6 +135,15 @@ class TestExitCodes:
         code = run(["pc", "--input", str(flat), "--output", str(tmp_path / "out")])
         assert code == EXIT_NUMERIC
 
+    def test_overflowing_cell_is_numeric_failure(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("a,b,c\n1e300,1.0,2.0\n2.0,2.5,1.0\n3.0,0.5,4.0\n4.0,1.5,3.0\n",
+                        encoding="utf-8")
+        code = run(["pc", "--input", str(huge), "--output", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        assert "column 'a' overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "skeleton.json").exists()
+
     def test_bad_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["pc", "--input", "x.csv", "--output", "y",

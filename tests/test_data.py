@@ -159,6 +159,21 @@ class TestGaussianSuffStat:
         with pytest.raises(DegenerateDataError, match="flat"):
             gaussian_suffstat(ds)
 
+    def test_overflowing_column_named(self):
+        # finite cells whose sums of squares overflow: an error naming the
+        # column, not zero correlations
+        ds = Dataset(np.array([[1.0, 1.0, 2.0], [2.0, 2.5, 1.0], [3.0, 1e300, 4.0],
+                               [4.0, 1.5, 3.0]]),
+                     ["a", "huge", "c"], [Continuous()] * 3)
+        with pytest.raises(DegenerateDataError, match="'huge' overflows"):
+            gaussian_suffstat(ds)
+        # the huge column after a partner of about 1e10 whose cross product
+        # with it overflows while the partner's own sum of squares does not
+        ds = Dataset(np.array([[1e10, 1.0], [3e10, 2.5], [2e10, 1e300], [4e10, 1.5]]),
+                     ["b", "a"], [Continuous()] * 2)
+        with pytest.raises(DegenerateDataError, match="'a' overflows"):
+            gaussian_suffstat(ds)
+
     def test_discrete_column_rejected(self):
         ds = Dataset(np.array([[0.0, 1.0], [1.0, 2.0]]), ["a", "b"],
                      [Discrete(2), Continuous()])

@@ -1,5 +1,6 @@
 """Tests for graph containers and d-separation."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from stablepc import (
     complete_graph,
     d_separated,
 )
+from stablepc import graphs
 from stablepc.graphs import dag_from_json_dict, skeleton_from_json_dict
 
 
@@ -107,6 +109,101 @@ class TestSepsetMap:
         m = SepsetMap()
         m.set(0, 2, [1])
         assert m.to_json_dict() == {"0,2": [1]}
+
+
+def random_removals(p, count, rng):
+    """Distinct random pairs (i < j) in ascending order, each with a set of
+    0-3 other variables, sorted."""
+    pairs = np.sort(rng.integers(0, p, size=(count, 2)), axis=1)
+    pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+    sets = []
+    for i, j in pairs.tolist():
+        drawn = rng.choice(p, size=min(p, 5), replace=False)
+        size = int(rng.integers(0, min(4, p - 1)))
+        sets.append(np.sort(drawn[(drawn != i) & (drawn != j)][:size]))
+    return pairs, sets
+
+
+def filled_maps(p, count, seed):
+    """The same removals recorded pair by pair, in bulk per set size, and
+    mixed: bulk adds of some sizes with single ``set`` calls in between."""
+    pairs, sets = random_removals(p, count, np.random.default_rng(seed))
+    sizes = np.array([len(s) for s in sets])
+    single, bulk, mixed = SepsetMap(), SepsetMap(), SepsetMap()
+    for (i, j), s in zip(pairs.tolist(), sets):
+        single.set(j, i, s.tolist())
+    for size in range(4):
+        rows = np.flatnonzero(sizes == size)
+        chosen = np.array([sets[k] for k in rows], dtype=np.int64).reshape(len(rows), size)
+        bulk.set_many(pairs[rows], chosen)
+        if size % 2:
+            for k in rows.tolist():
+                mixed.set(*pairs[k].tolist(), sets[k].tolist())
+        else:
+            mixed.set_many(pairs[rows][:, ::-1], chosen)
+    return single, bulk, mixed
+
+
+class TestSepsetMapArrays:
+    """The array-backed map against its pair-by-pair meaning."""
+
+    @pytest.mark.parametrize("p", [2, 11, 101, 1001])
+    def test_bulk_equals_pair_by_pair(self, p):
+        single, bulk, mixed = filled_maps(p, 3000, seed=p)
+        assert len(single) > 0
+        for other in (bulk, mixed):
+            assert other == single
+            assert other.pairs() == single.pairs()
+            assert len(other) == len(single)
+            assert other.to_json_dict() == single.to_json_dict()
+            assert [other.get(j, i) for i, j in single.pairs()] == \
+                [single.get(i, j) for i, j in single.pairs()]
+        assert single.to_json_dict() == {f"{i},{j}": list(single.get(i, j))
+                                         for i, j in single.pairs()}
+
+    @pytest.mark.parametrize("p", [2, 11, 101, 1001, 12345])
+    def test_json_chunks_match_json_dumps(self, p, monkeypatch):
+        for seps in filled_maps(p, 3000, seed=7 * p):
+            want = json.dumps(seps.to_json_dict(), sort_keys=True, indent=2) + "\n"
+            for entries in (1, 7, 1 << 15):
+                monkeypatch.setattr(graphs, "JSON_CHUNK_ENTRIES", entries)
+                assert "".join(seps.json_chunks()) == want
+
+    def test_json_chunks_of_empty_map(self):
+        assert "".join(SepsetMap().json_chunks()) == \
+            json.dumps({}, sort_keys=True, indent=2) + "\n"
+
+    def test_later_write_wins(self):
+        m = SepsetMap()
+        m.set_many(np.array([[0, 3], [1, 2]]), np.array([[1], [3]]))
+        m.set(3, 0, [2])
+        m.set_many(np.array([[2, 1]]), np.array([[0]]))
+        assert m.get(0, 3) == (2,) and m.get(1, 2) == (0,)
+        assert len(m) == 2 and m.pairs() == [(0, 3), (1, 2)]
+        assert m.set_sizes(np.array([3, 0, 0]), np.array([0, 1, 9])).tolist() == [1, -1, -1]
+
+    def test_memory_follows_pairs_not_indices(self):
+        # a dense p x p index would need exabytes for these two pairs
+        m = SepsetMap()
+        m.set(1, 50000, ())
+        m.set(2**31 - 1, 2, [5])
+        assert m.pairs() == [(1, 50000), (2, 2**31 - 1)]
+        assert m.get(2, 2**31 - 1) == (5,) and m.get(1, 50000) == ()
+        # (0, 2**32 + 50000) would share the code of (1, 50000)
+        assert not m.has(0, 2**32 + 50000) and m.get(0, 2**32 + 50000) is None
+        with pytest.raises(GraphError):
+            m.set(0, 2**31, ())
+
+    def test_set_many_rejects_bad_rows_and_keeps_the_map(self):
+        m = SepsetMap()
+        m.set(0, 1, [2])
+        before = m.to_json_dict()
+        for pairs, sets in (([[0, 1], [1, 0]], [[2], [3]]),     # a pair twice
+                            ([[2, 3]], [[3]]),                  # set holds the pair
+                            ([[4, 4]], [[1]])):                 # not a pair
+            with pytest.raises(GraphError):
+                m.set_many(np.array(pairs), np.array(sets))
+            assert m.to_json_dict() == before and len(m) == 1
 
 
 class TestDag:

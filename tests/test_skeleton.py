@@ -71,11 +71,18 @@ def adjacency(p, nbrs):
 
 
 def decide_one(level, p, nbrs, edge, test):
-    """``decide_edges`` on a one-edge block: (sepset, tests, degenerate,
-    largest p)."""
-    [decision] = decide_edges((level, adjacency(p, nbrs)),
-                              np.array([edge], dtype=np.int64), test, 0.01)
-    return decision
+    """``decide_edges`` on a one-edge block: (sepset or None, tests,
+    degenerate, largest p or NaN)."""
+    found, accepted, tests, degenerate, largest = decide_edges(
+        (level, adjacency(p, nbrs)), np.array([edge], dtype=np.int64), test, 0.01)
+    sepset = tuple(accepted[0].tolist()) if found[0] else None
+    return sepset, int(tests[0]), int(degenerate[0]), float(largest[0])
+
+
+def same_columns(a, b):
+    """Two ``decide`` results hold equal columns, NaN equal to NaN."""
+    return len(a) == len(b) and all(
+        np.array_equal(x, y, equal_nan=x.dtype.kind == "f") for x, y in zip(a, b))
 
 
 class TestDecideEdge:
@@ -121,13 +128,33 @@ class TestDecideEdge:
         assert tests == 2
         assert degenerate == 1
         # the accepting p-value is not counted and the NaN of (2,) is no value
-        assert largest is None
+        assert np.isnan(largest)
         # 0 - 3 stays: (1,) rejects with a positive p-value, (2,) is degenerate
         sepset, tests, degenerate, largest = decide_one(
             1, 4, [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)], (0, 3),
             FisherZTest(stat))
         assert (sepset, tests, degenerate) == (None, 2, 1)
         assert largest == FisherZTest(stat)(0, 3, (1,)).p_value > 0.0
+
+    def test_level_zero_nan_rows_are_degenerate_and_stay(self):
+        # one pvalues call decides the block; a NaN row is a degenerate set
+        # and keeps its edge
+        rows = np.array([(i, j) for i in range(6) for j in range(i + 1, 6)],
+                        dtype=np.int64)
+        found, accepted, tests, degenerate, largest = decide_edges(
+            (0, ~np.eye(6, dtype=bool)), rows, _ByPairSum(), 0.01)
+        kind = rows.sum(axis=1) % 3
+        assert accepted.shape == (len(rows), 0)
+        assert found.tolist() == (kind == 1).tolist()
+        assert degenerate.tolist() == (kind == 0).astype(int).tolist()
+        assert tests.tolist() == [1] * len(rows)
+        assert np.isnan(largest[kind != 2]).all() and (largest[kind == 2] == 0.005).all()
+        graph, seps, stats = skeleton_stable(None, _ByPairSum(), 6,
+                                             SkeletonConfig(max_level=0))
+        assert sorted(graph.edges()) == [tuple(r) for r in rows[kind != 1].tolist()]
+        assert seps.pairs() == [tuple(r) for r in rows[kind == 1].tolist()]
+        assert (stats.levels[0].degenerate, stats.levels[0].removals) == \
+            (int((kind == 0).sum()), int((kind == 1).sum()))
 
     def test_block_equals_one_edge_blocks(self):
         # the rounds of a block leave each edge's decision as it is alone
@@ -136,9 +163,10 @@ class TestDecideEdge:
         rows = np.array([(i, j) for i in range(9) for j in range(i + 1, 9)],
                         dtype=np.int64)
         block = decide_edges(shared, rows, FisherZTest(suff), 0.01)
-        assert block == [decide_edges(shared, rows[k:k + 1], FisherZTest(suff), 0.01)[0]
-                         for k in range(len(rows))]
-        assert len({tests for _, tests, _, _ in block}) > 1
+        alone = [decide_edges(shared, rows[k:k + 1], FisherZTest(suff), 0.01)
+                 for k in range(len(rows))]
+        assert same_columns(block, [np.concatenate(c) for c in zip(*alone)])
+        assert len(set(block[2].tolist())) > 1
 
 
 class TestPlanBatches:
@@ -211,7 +239,7 @@ def run_engine(decide, shared, rows, test, workers):
 
 
 def _echo_row(shared, rows, test, alpha):
-    return [tuple(row) for row in rows.tolist()]
+    return (rows,)
 
 
 def _exit_worker(shared, rows, test, alpha):
@@ -231,19 +259,21 @@ class TestRunLevelParallel:
     def test_worker_counts_agree(self):
         shared, rows, test = self.make_level()
         reference = run_engine(decide_edges, shared, rows, test, 1)
-        assert reference == decide_edges(shared, rows, test, 0.01)
+        assert same_columns(reference, decide_edges(shared, rows, test, 0.01))
         for workers in (2, 4, 8):
-            assert run_engine(decide_edges, shared, rows, test, workers) == reference
+            assert same_columns(run_engine(decide_edges, shared, rows, test, workers),
+                                reference)
 
     def test_result_order_matches_input(self):
         shared, rows, test = self.make_level()
         out = run_engine(_echo_row, shared, rows, test, 3)
-        assert out == [tuple(row) for row in rows.tolist()]
+        assert same_columns(out, (rows,))
 
     def test_empty_tasks(self):
         rows = np.empty((0, 2), dtype=np.int64)
-        assert run_engine(decide_edges, (0, np.zeros((2, 2), dtype=bool)), rows,
-                          None, 4) == []
+        columns = run_engine(decide_edges, (0, np.zeros((2, 2), dtype=bool)), rows,
+                             None, 4)
+        assert len(columns) == 5 and all(len(c) == 0 for c in columns)
 
     def test_worker_failure_aborts_level(self):
         shared, rows, _ = self.make_level(p=4)
@@ -256,8 +286,17 @@ class TestRunLevelParallel:
             with pytest.raises(LevelExecutionError):
                 ex.map_slices([(_exit_worker, shared, rows[:1]),
                                (_echo_row, shared, rows[1:])])
-            assert ex.map_slices([(_echo_row, shared, rows[:3])]) == \
-                [[tuple(row) for row in rows[:3].tolist()]]
+            [[echoed]] = ex.map_slices([(_echo_row, shared, rows[:3])])
+            assert same_columns(echoed, (rows[:3],))
+
+
+@dataclass(frozen=True)
+class _ByPairSum:
+    """A batched-only stub: by (i + j) mod 3 a degenerate set, independence
+    or dependence, whatever the set."""
+
+    def pvalues(self, i, j, s):
+        return np.array([np.nan, 0.5, 0.005])[(np.asarray(i) + np.asarray(j)) % 3]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ memory-efficient comparison with a result-digest equality gate).
 the wall-clock ``levelstats.json``.  Each flag's argparse ``dest`` is the name
 of its ``RunConfig`` field, and a flag left out keeps that field's default.
 
-Exit codes: 0 success, 2 input validation, 3 degenerate statistics,
-4 result-equivalence violation in bench.
+Exit codes: 0 success, 2 input validation or a file that cannot be read or
+written, 3 degenerate statistics, 4 result-equivalence violation in bench.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .data import (
     discrete_suffstat,
     gaussian_suffstat,
     load_csv,
+    read_text,
     sample_covariance,
     write_csv,
 )
@@ -200,11 +201,19 @@ def _truth_json_dict(dag: Dag, weights: dict[tuple[int, int], float]) -> dict:
 
 
 def _load_truth(path: Path) -> tuple[Dag, dict[tuple[int, int], float] | None]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    dag = dag_from_json_dict(data)
-    weights = None
-    if "weights" in data:
-        weights = {(int(u), int(v)): float(w) for u, v, w in data["weights"]}
+    """The truth DAG of a JSON file and its edge weights, if it has them;
+    GraphError naming the file when the JSON does not describe them."""
+    text = read_text(path)
+    try:
+        data = json.loads(text)
+        dag = dag_from_json_dict(data)
+        weights = data.get("weights")
+        if weights is not None:
+            weights = {(int(u), int(v)): float(w) for u, v, w in weights}
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{path}: not a truth JSON ({exc})") from None
     return dag, weights
 
 
@@ -271,7 +280,10 @@ def run_pipeline(cfg: RunConfig, algo: str, inputs: Inputs, scfg: SkeletonConfig
         if dataset is not None:
             cov = sample_covariance(dataset)
         elif weights is not None:
-            cov = linear_sem_population_cov(suff, weights)
+            try:
+                cov = linear_sem_population_cov(suff, weights)
+            except ValueError as exc:
+                raise CliInputError(f"{cfg.input}: {exc}") from None
         else:
             raise CliInputError(
                 "oracle ida needs edge weights in the truth file to form a covariance")
@@ -299,9 +311,8 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_bench_algo(cfg: RunConfig, algo: str, workers: int,
+def _run_bench_algo(cfg: RunConfig, algo: str, inputs: Inputs, workers: int,
                     mem_efficient: bool) -> tuple[float, int, str]:
-    inputs = _prepare_inputs(cfg)
     scfg = cfg.skeleton_config(num_workers=workers, mem_efficient=mem_efficient)
     started = time.perf_counter()
     files, peak = run_pipeline(cfg, algo, inputs, scfg)
@@ -315,6 +326,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     if cfg.input is None:
         _generate(cfg, out / "bench_data.csv")
         cfg = dataclasses.replace(cfg, input=out / "bench_data.csv")
+    inputs = _prepare_inputs(cfg)
     variants = (
         ("sequential", 1, False),
         ("parallel", cfg.num_workers, False),
@@ -325,7 +337,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     for algo in cfg.algos:
         digests = []
         for name, workers, mem in variants:
-            wall_ms, peak, digest = _run_bench_algo(cfg, algo, workers, mem)
+            wall_ms, peak, digest = _run_bench_algo(cfg, algo, inputs, workers, mem)
             digests.append(digest)
             rows.append({
                 "algorithm": algo,
@@ -434,8 +446,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig(**vars(args))
         return COMMANDS[cfg.command](cfg)
-    except (CliInputError, DatasetError, GraphError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (CliInputError, DatasetError, GraphError, OSError) as exc:
         if isinstance(exc, DegenerateDataError):
             print(f"stablepc: degenerate statistics: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

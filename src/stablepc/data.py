@@ -204,6 +204,15 @@ def _is_integer_token(token: str) -> bool:
     return True
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 input file; DatasetError naming the file when it
+    is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_csv(path: str | Path, kind_hint: str = "auto") -> Dataset:
     """Load a comma-separated file with one header row into a Dataset.
 
@@ -215,7 +224,7 @@ def load_csv(path: str | Path, kind_hint: str = "auto") -> Dataset:
     """
     if kind_hint not in KIND_HINTS:
         raise DatasetError(f"kind_hint must be one of {KIND_HINTS}, got '{kind_hint}'")
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [line for line in text.splitlines() if line != ""]
     if not lines:
         raise DatasetError(f"{path}: empty file")

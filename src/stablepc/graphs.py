@@ -69,10 +69,6 @@ class SkeletonGraph:
         self._check(v)
         return np.flatnonzero(self.adj[v]).tolist()
 
-    def degree(self, v: int) -> int:
-        self._check(v)
-        return int(self.adj[v].sum())
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) with i < j, in ascending order."""
         for i in range(self.p):
@@ -150,9 +146,6 @@ class Cpdag:
             raise GraphError(f"no edge between {i} and {j}")
         self.mark[i, j] = ARROW
         self.mark[j, i] = TAIL
-
-    def adjacent(self, v: int) -> list[int]:
-        return np.flatnonzero(self.mark[v]).tolist()
 
     def parents(self, v: int) -> list[int]:
         """Nodes u with u -> v."""
@@ -567,12 +560,22 @@ def skeleton_from_json_dict(data: dict) -> SkeletonGraph:
     return g
 
 
-def dag_from_json_dict(data: dict) -> Dag:
-    p = int(data["p"])
+def dag_from_json_dict(data: object) -> Dag:
+    """The DAG of ``{"p": p, "edges": [[u, v, "->"], ...]}``; GraphError
+    naming the edge at fault when ``data`` does not describe one."""
+    try:
+        p = int(data["p"])
+        edges = list(data["edges"])
+    except (TypeError, ValueError, KeyError):
+        raise GraphError('a DAG needs an integer "p" and an "edges" list') from None
     parents: list[list[int]] = [[] for _ in range(p)]
-    for edge in data["edges"]:
-        u, v, m = edge[0], edge[1], edge[2]
-        if m != "->":
-            raise GraphError(f"DAG edge with mark '{m}'")
-        parents[int(v)].append(int(u))
+    for edge in edges:
+        try:
+            u, v, m = edge
+            u, v = int(u), int(v)
+        except (TypeError, ValueError):
+            raise GraphError(f"DAG edge {edge!r} is not [u, v, \"->\"]") from None
+        if m != "->" or not (0 <= u < p and 0 <= v < p):
+            raise GraphError(f"DAG edge {edge!r} is not [u, v, \"->\"], u and v in [0, {p})")
+        parents[v].append(u)
     return Dag(p, parents)

@@ -1,9 +1,8 @@
 """Local parent/children discovery and intervention-effect estimation.
 
-``pc_simple`` runs the level-synchronized candidate elimination around one
-target variable on the skeleton module's level engine: each level's
-candidates are the edges of a star snapshot around the target, decided by
-``decide_edges`` like a skeleton level.
+``pc_simple`` runs the skeleton module's level loop, ``stable_levels``, on a
+star: the target joined to every other variable.  Each level's candidates
+are the star's remaining edges, decided like a skeleton level's edges.
 ``ida_effects`` enumerates the admissible parent sets of a cause in a CPDAG
 and reports one regression-adjusted total effect per set.  The linear SEM
 helpers generate test data and the matching population covariance.
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,13 +20,10 @@ from scipy.linalg import cho_factor, cho_solve
 from .citests import CiTest
 from .data import Continuous, Dataset
 from .graphs import Cpdag, Dag
-from .skeleton import (
-    LevelExecutor,
-    SkeletonConfig,
-    decide_edges,
-    estimate_task_cost,
-    run_level,
-)
+from .skeleton import LevelExecutor, stable_levels
+
+if TYPE_CHECKING:
+    from .skeleton import SkeletonConfig
 
 # Tolerance for accepting a pseudo-inverse solution of the normal equations;
 # inconsistent systems beyond it are flagged degenerate.
@@ -91,16 +87,15 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
               cfg: SkeletonConfig) -> PcSimpleResult:
     """Estimate the parents-and-children set of one target variable.
 
-    Candidate elimination with the stable rule: each level tests every
-    remaining candidate against the target given all same-level subsets of
-    the level-start candidate pool (in parallel over candidates), and
-    removals apply at level end.  Stops once the level reaches the pool
-    size.  ``alpha`` must equal ``cfg.alpha``; the engine's workers test at
-    ``alpha``, so a config with another level is rejected, not ignored.
-
-    A level is a skeleton level on a star: the target is adjacent to the
-    pool and each candidate to the target alone, so ``decide_edges`` draws
-    the sets of candidate x from the pool minus x, in lexicographic order.
+    Candidate elimination with the stable rule, as ``stable_levels`` on a
+    star: the target is adjacent to the candidate pool and each candidate
+    to the target alone.  So each level tests every candidate x against the
+    target given the level's subsets of the level-start pool minus x, in
+    lexicographic order; removals apply at level end; and the degree filter
+    stops the search once the level reaches the pool size.  The members are
+    the target's final neighbours.  ``alpha`` must equal ``cfg.alpha``; the
+    engine's workers test at ``alpha``, so a config with another level is
+    rejected, not ignored.
     """
     if alpha != cfg.alpha:
         raise ValueError(f"alpha {alpha} differs from cfg.alpha {cfg.alpha}")
@@ -109,25 +104,20 @@ def pc_simple(suff: object, test: CiTest, target: int, alpha: float,
         raise ValueError("sufficient statistic does not expose a variable count")
     if not 0 <= target < p:
         raise ValueError(f"target {target} out of range [0, {p})")
-    candidates = np.delete(np.arange(p), target)
+    others = np.delete(np.arange(p), target)
+    star = np.zeros((p, p), dtype=bool)
+    star[target, others] = star[others, target] = True
+    edges = np.column_stack([np.minimum(others, target), np.maximum(others, target)])
     largest_p = np.zeros(p)
-    with LevelExecutor(cfg.num_workers, test, alpha) as ex:
-        level = 0
-        while level < len(candidates) and (cfg.max_level is None or level <= cfg.max_level):
-            star = np.zeros((p, p), dtype=bool)
-            star[target, candidates] = star[candidates, target] = True
-            rows = np.column_stack([np.minimum(candidates, target),
-                                    np.maximum(candidates, target)])
-            found, _, _, _, largest = run_level(ex, decide_edges, (level, star), rows,
-                                                cfg, estimate_task_cost(level, suff))
+    with LevelExecutor(cfg, test) as ex:
+        for _, edges, (*_, largest) in stable_levels(ex, suff, star, edges):
+            candidates = edges.sum(axis=1) - target
             # NaN (no p-value) never exceeds the value so far
             seen = largest_p[candidates]
             largest_p[candidates] = np.where(largest > seen, largest, seen)
-            candidates = candidates[~found]
-            level += 1
-    members = tuple(candidates.tolist())
-    p_values = dict(zip(members, largest_p[candidates].tolist()))
-    return PcSimpleResult(target, members, p_values, ex.peak_tasks_in_flight)
+    members = np.flatnonzero(star[target]).tolist()
+    p_values = dict(zip(members, largest_p[members].tolist()))
+    return PcSimpleResult(target, tuple(members), p_values, ex.peak_tasks_in_flight)
 
 
 def admissible_parent_sets(g: Cpdag, x: int) -> list[tuple[int, ...]]:

@@ -14,9 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import (
-    ARROW, TAIL, Cpdag, Dag, GraphError, SepsetMap, SkeletonGraph, d_separated,
-)
+from .graphs import ARROW, TAIL, Cpdag, Dag, GraphError, SepsetMap, SkeletonGraph
 
 
 def _triple(x: int, k: int, y: int) -> tuple[int, int, int]:
@@ -130,34 +128,17 @@ def meek_closure(g: Cpdag) -> Cpdag:
             out.orient(a, b)
 
 
-def _true_sepset(dag: Dag, i: int, j: int) -> tuple[int, ...]:
-    """A d-separating set for a non-adjacent pair of the DAG.
-
-    The parents of whichever endpoint is not an ancestor of the other
-    always work (local Markov property); checked with d_separated.
-    """
-    pa_i = dag.parents[i]
-    if j not in pa_i and d_separated(dag, i, j, pa_i):
-        return pa_i
-    pa_j = dag.parents[j]
-    if not d_separated(dag, i, j, pa_j):
-        raise GraphError(f"no parent-set separator for non-adjacent pair ({i}, {j})")
-    return pa_j
-
-
 def cpdag_from_dag(dag: Dag) -> Cpdag:
     """The CPDAG of the DAG's Markov equivalence class.
 
-    Runs the orientation pipeline on the DAG's own skeleton with exact
-    separating sets derived from d-separation.
+    The DAG's skeleton with the arrows of its v-structures i -> k <- j (i
+    and j not adjacent), closed under Meek's rules.
     """
     skel = dag.skeleton()
-    pairs = np.argwhere(np.triu(~skel.adj, 1))
-    sets = [_true_sepset(dag, i, j) for i, j in pairs.tolist()]
-    sizes = np.array([len(s) for s in sets], dtype=np.int64)
-    seps = SepsetMap()
-    for size in np.unique(sizes).tolist():          # one bulk add per set size
-        rows = np.flatnonzero(sizes == size).tolist()
-        seps.set_many(pairs[rows], np.array([sets[k] for k in rows],
-                                            dtype=np.int64).reshape(len(rows), size))
-    return meek_closure(orient_v_structures(skel, seps))
+    g = Cpdag.from_skeleton(skel)
+    for k, parents in enumerate(dag.parents):
+        for i, j in combinations(parents, 2):
+            if not skel.adj[i, j]:
+                g.orient(i, k)
+                g.orient(j, k)
+    return meek_closure(g)

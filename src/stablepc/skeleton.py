@@ -1,31 +1,31 @@
 """Order-independent skeleton learning with level-parallel CI testing.
 
-The search starts from the complete graph and proceeds in levels, where the
-level is the conditioning-set size.  All CI tests of one level run against an
+One level loop, ``stable_levels``, runs the stable rule on a graph: each
+level is the conditioning-set size, all CI tests of a level read an
 immutable snapshot of the graph taken at level start, and every removal is
-applied in a single-threaded merge at level end.
+applied in a single-threaded merge at level end.  ``skeleton_stable`` runs
+it on the complete graph and records the sepsets and level counters from
+what it yields; ``inference.pc_simple`` runs it on a star around its target.
 
-One level engine, ``run_level``, evaluates the tasks of a level.  A task is
-one row of an integer array, and the row together with the level's shared
-snapshot fixes everything that determines its outcome: a module-level
-``decide(shared, rows, test, alpha)`` function, which decides a block of
-rows, reads nothing else.  So any worker count and any batch partition
-produce results identical to the sequential run.  The engine has two
-``decide`` functions: ``decide_edges`` for the skeleton levels and for
-PC-simple's candidate levels (``inference.pc_simple``), and ``_search_pairs``
-for the separating-set search after the last level.
+One level engine, ``run_level``, evaluates the tasks of a level on a
+``LevelExecutor``, which holds the run's ``SkeletonConfig`` (workers, alpha,
+batching) and CI test.  A task is one row of an integer array, and the row
+together with the level's shared snapshot fixes everything that determines
+its outcome: a module-level ``decide(shared, rows, test, alpha)`` function,
+which decides a block of rows, reads nothing else.  So any worker count and
+any batch partition produce results identical to the sequential run.  The
+engine has two ``decide`` functions: ``decide_edges`` for the levels and
+``_search_pairs`` for the separating-set search after the last level.
 
 A ``decide`` function returns its block's decisions as a tuple of arrays
 with one entry per row, and ``run_level`` concatenates each array once over
-the level's blocks, so no Python object is built per edge.  A skeleton level
-decides a block in rounds: each round evaluates the next conditioning set of
-every undecided edge with one call of the test's batched ``pvalues``.  At
-level 0 every edge has the one set (), so a block is one ``pvalues`` call
-and one comparison.  The search evaluates all sets of one size of a block's
-pairs together.  A test without ``pvalues`` is called once per set through
-``_scalar_pvalues``, in the same rounds.  The merge hands a level's removed
-pairs and their sets to the array-backed ``SepsetMap`` in one ``set_many``
-call.
+the level's blocks, so no Python object is built per edge.  A level decides
+a block in rounds: each round evaluates the next conditioning set of every
+undecided edge with one call of the test's batched ``pvalues``.  At level 0
+every edge has the one set (), so a block is one ``pvalues`` call and one
+comparison.  The search evaluates all sets of one size of a block's pairs
+together.  A test without ``pvalues`` is called once per set through
+``_scalar_pvalues``, in the same rounds.
 
 Batching bounds how many tasks are dispatched at once so a run on a
 memory-constrained machine does not hold the whole level in flight while
@@ -442,35 +442,20 @@ def _worker_loop(conn: Connection, test: CiTest, alpha: float) -> None:
         conn.send(reply)
 
 
-def _even_slices(items: Sequence, parts: int) -> list[Sequence]:
-    """Split into at most ``parts`` contiguous slices whose sizes differ by <= 1."""
-    n = len(items)
-    parts = min(parts, n)
-    base, extra = divmod(n, parts)
-    out = []
-    start = 0
-    for k in range(parts):
-        size = base + (1 if k < extra else 0)
-        out.append(items[start:start + size])
-        start += size
-    return out
-
-
 class LevelExecutor:
-    """Fork-join worker pool bound to one (test, alpha) pair for one engine run.
+    """Fork-join worker pool bound to one run's config and CI test.
 
-    Lazily starts its worker processes on the first parallel dispatch, so
-    sequential runs never fork.  Each instance owns its workers; concurrent
-    engine runs on distinct inputs use distinct executors.  A dispatch sends
-    each worker one slice down its pipe and waits for every reply, with no
-    queue or thread in between.  It also keeps the largest batch
-    ``run_level`` dispatched through it.
+    Lazily starts its ``cfg.num_workers`` worker processes on the first
+    parallel dispatch, so sequential runs never fork.  Each instance owns
+    its workers; concurrent engine runs on distinct inputs use distinct
+    executors.  A dispatch sends each worker one slice down its pipe and
+    waits for every reply, with no queue or thread in between.  It also
+    keeps the largest batch ``run_level`` dispatched through it.
     """
 
-    def __init__(self, num_workers: int, test: CiTest, alpha: float):
-        self.num_workers = num_workers
+    def __init__(self, cfg: SkeletonConfig, test: CiTest):
+        self.cfg = cfg
         self.test = test
-        self.alpha = alpha
         self.peak_tasks_in_flight = 0
         self._workers: list[tuple[multiprocessing.Process, Connection]] = []
         # the shared snapshot each worker holds
@@ -498,10 +483,10 @@ class LevelExecutor:
 
     def _ensure_workers(self) -> list[tuple[multiprocessing.Process, Connection]]:
         if not self._workers:
-            for _ in range(self.num_workers):
+            for _ in range(self.cfg.num_workers):
                 here, there = multiprocessing.Pipe()
                 proc = multiprocessing.Process(
-                    target=_worker_loop, args=(there, self.test, self.alpha),
+                    target=_worker_loop, args=(there, self.test, self.cfg.alpha),
                     daemon=True)
                 proc.start()
                 there.close()
@@ -510,26 +495,25 @@ class LevelExecutor:
         return self._workers
 
     def map_slices(self, payloads: Sequence) -> list[list[tuple[np.ndarray, ...]]]:
-        """Run one slice per payload ``(decide, shared, rows)``; gather each
-        slice's block columns in submission order.  A worker keeps the last
-        ``shared`` object it was sent, and gets it again only when another
-        object comes, so ``shared`` must not change in place."""
+        """Run one slice per payload ``(decide, shared, rows)``, at most one
+        per worker; gather each slice's block columns in submission order.
+        A worker keeps the last ``shared`` object it was sent, and gets it
+        again only when another object comes, so ``shared`` must not change
+        in place."""
         workers = self._ensure_workers()
-        results = []
         try:
-            for start in range(0, len(payloads), len(workers)):
-                wave = payloads[start:start + len(workers)]
-                for k, (decide, shared, rows) in enumerate(wave):
-                    message = (decide, _packed((rows,)))
-                    if self._shared[k] is not shared:
-                        message += (shared,)
-                        self._shared[k] = shared
-                    workers[k][1].send(message)
-                for (_, conn), _ in zip(workers, wave):
-                    ok, reply = conn.recv()
-                    if not ok:
-                        raise LevelExecutionError(f"worker failed: {reply}")
-                    results.append([_unpacked(packed) for packed in reply])
+            for k, (decide, shared, rows) in enumerate(payloads):
+                message = (decide, _packed((rows,)))
+                if self._shared[k] is not shared:
+                    message += (shared,)
+                    self._shared[k] = shared
+                workers[k][1].send(message)
+            results = []
+            for (_, conn), _ in zip(workers, payloads):
+                ok, reply = conn.recv()
+                if not ok:
+                    raise LevelExecutionError(f"worker failed: {reply}")
+                results.append([_unpacked(packed) for packed in reply])
         except LevelExecutionError:
             self.close()
             raise
@@ -540,32 +524,62 @@ class LevelExecutor:
 
 
 def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarray,
-              cfg: SkeletonConfig, per_task_cost: int) -> tuple[np.ndarray, ...]:
+              per_task_cost: int) -> tuple[np.ndarray, ...]:
     """Decide every task row against the shared snapshot, in row order.
 
     ``decide(shared, rows, test, alpha)`` must be a module-level function so
     that workers can unpickle it; it gets a contiguous block of at most
     ``MAX_BLOCK_ROWS`` rows and returns a tuple of arrays (its columns) with
     one entry per row, each depending on its row and ``shared`` alone.  The
-    rows are split into batches by ``plan_batches``.  With one worker a
-    batch is decided in-process; with more, each worker gets an even
-    contiguous slice of it.  Each column is concatenated once over the
-    level's blocks, so the result is that of one in-process call on all
-    rows, whatever the batching.
+    rows are split into batches by ``plan_batches`` under the executor's
+    config.  With one worker a batch is decided in-process; with more, each
+    worker gets an even contiguous slice of it, the larger slices first.
+    Each column is concatenated once over the level's blocks, so the result
+    is that of one in-process call on all rows, whatever the batching.
     """
     blocks: list[tuple[np.ndarray, ...]] = []
-    for batch in plan_batches(rows, cfg, per_task_cost):
+    for batch in plan_batches(rows, ex.cfg, per_task_cost):
         ex.peak_tasks_in_flight = max(ex.peak_tasks_in_flight, len(batch))
-        if ex.num_workers == 1:
-            blocks.extend(_decide_blocks(decide, shared, batch, ex.test, ex.alpha))
+        if ex.cfg.num_workers == 1:
+            blocks.extend(_decide_blocks(decide, shared, batch, ex.test, ex.cfg.alpha))
             continue
-        slices = _even_slices(batch, ex.num_workers)
+        slices = np.array_split(batch, min(ex.cfg.num_workers, len(batch)))
         for decided in ex.map_slices([(decide, shared, s) for s in slices]):
             blocks.extend(decided)
     if not blocks:
         # no rows: the columns, empty, of an in-process call
-        return decide(shared, rows, ex.test, ex.alpha)
+        return decide(shared, rows, ex.test, ex.cfg.alpha)
     return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def stable_levels(ex: LevelExecutor, suff: object, adj: np.ndarray, edges: np.ndarray
+                  ) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]:
+    """The stable rule's levels on the graph ``adj``, which it updates.
+
+    ``edges`` lists every edge of ``adj`` as (i, j), i < j, ascending.  Up to
+    ``ex.cfg.max_level``, a level decides the edges with an endpoint of
+    degree above the level against a copy of ``adj``, removes the accepted
+    ones from ``adj`` and yields the level, its edges and ``decide_edges``'s
+    columns; ``suff`` sizes the batches.  The next level's edges are the
+    survivors: an edge left out has both degrees at most the level, and
+    degrees only fall.  Stops at the first level with no edge to test.
+    """
+    max_level = ex.cfg.max_level
+    level = 0
+    while max_level is None or level <= max_level:
+        degree = np.bincount(edges.ravel(), minlength=len(adj))
+        edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
+        if not len(edges):
+            return
+        decided = run_level(ex, decide_edges, (level, adj.copy()), edges,
+                            estimate_task_cost(level, suff))
+        found = decided[0]
+        gone = edges[found]
+        adj[gone[:, 0], gone[:, 1]] = adj[gone[:, 1], gone[:, 0]] = False
+        del gone                    # freed before the caller's merge
+        yield level, edges, decided
+        edges = edges[~found]
+        level += 1
 
 
 def _suff_dim(suff: object) -> int | None:
@@ -582,13 +596,11 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
     skeleton, the separating set recorded for each removed edge, and the
     per-level statistics.
 
-    For each level, every surviving edge is tested against conditioning sets
-    of the level's size drawn from the level-start neighborhoods of both
-    endpoints; the first accepted set removes the edge and becomes its
-    sepset.  Every task of the level reads one snapshot, the level-start
-    adjacency matrix.  Removals are applied only after the whole level has
-    been decided, which makes the output independent of variable order and
-    of the parallel schedule.
+    The levels are ``stable_levels`` on the complete graph: an edge's sets
+    come from the level-start neighbourhoods of both endpoints, and the
+    first accepted set removes the edge and becomes its sepset.  Removals
+    apply at level end, so the output depends neither on variable order nor
+    on the parallel schedule.
 
     A final phase searches the finished skeleton: for each non-adjacent pair
     that shares a neighbour it tests every distinct subset of the pair's
@@ -608,34 +620,23 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
     graph = complete_graph(p)
     sepsets = SepsetMap()
     level_rows: list[LevelStat] = []
-    with LevelExecutor(cfg.num_workers, test, cfg.alpha) as ex:
-        level = 0
-        while cfg.max_level is None or level <= cfg.max_level:
-            started = time.perf_counter()
-            degree = graph.adj.sum(axis=1)
-            edges = np.argwhere(np.triu(graph.adj, 1))
-            edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
-            if len(edges) == 0:
-                break
-            found, accepted, tests, degenerate, _ = run_level(
-                ex, decide_edges, (level, graph.adj.copy()), edges, cfg,
-                estimate_task_cost(level, suff))
-            gone = edges[found]
-            graph.adj[gone[:, 0], gone[:, 1]] = graph.adj[gone[:, 1], gone[:, 0]] = False
-            sepsets.set_many(gone, accepted[found])
+    with LevelExecutor(cfg, test) as ex:
+        started = time.perf_counter()
+        levels = stable_levels(ex, suff, graph.adj, np.argwhere(np.triu(graph.adj, 1)))
+        for level, edges, (found, accepted, tests, degenerate, _) in levels:
+            sepsets.set_many(edges[found], accepted[found])
             level_rows.append(LevelStat(
                 level=level,
                 tests=int(tests.sum()),
-                removals=len(gone),
+                removals=int(found.sum()),
                 degenerate=int(degenerate.sum()),
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             ))
-            level += 1
+            started = time.perf_counter()
 
         rows = _search_rows(graph, sepsets, cfg.max_level)
         cost = estimate_task_cost(int(rows[:, 3].max(initial=0)), suff)
-        searched, search_tests = run_level(ex, _search_pairs, graph.adj.copy(), rows,
-                                           cfg, cost)
+        searched, search_tests = run_level(ex, _search_pairs, graph.adj.copy(), rows, cost)
         for (i, j), sets in zip(rows[:, :2].tolist(), searched):
             sepsets.set_search(i, j, sets)
     return graph, sepsets, LevelStats(tuple(level_rows), ex.peak_tasks_in_flight,

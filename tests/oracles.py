@@ -364,3 +364,37 @@ def g_squared_dict(codes: np.ndarray, arities, i: int, j: int, s) -> tuple[float
                         for (t, a, b), c in cells.items())
     dof = (arities[i] - 1) * (arities[j] - 1) * math.prod(arities[k] for k in s)
     return g, dof
+
+
+def pc_simple_reference(test, p: int, target: int, alpha: float,
+                        max_level: int | None = None
+                        ) -> tuple[tuple[int, ...], dict[int, float]]:
+    """PC-simple from its definition, one scalar test call at a time.
+
+    At each level every candidate x of the level-start pool is tested
+    against the target given the ``level``-subsets of the pool minus x, in
+    lexicographic order, the pair passed in ascending order.  The first
+    p > alpha removes x once the level is over; a degenerate set counts as
+    dependence.  The search stops when the level reaches the pool size or
+    passes ``max_level``.  Returns the members and each member's largest
+    non-NaN p-value (0.0 when it has none).
+    """
+    pool = [v for v in range(p) if v != target]
+    seen: dict[int, list[float]] = {v: [] for v in pool}
+    level = 0
+    while level < len(pool) and (max_level is None or level <= max_level):
+        removed = set()
+        for x in pool:
+            pair = (min(x, target), max(x, target))
+            for s in combinations([v for v in pool if v != x], level):
+                try:
+                    value = test(*pair, s).p_value
+                except DegenerateConditioningError:
+                    continue
+                if value > alpha:
+                    removed.add(x)
+                    break
+                seen[x].append(value)
+        pool = [v for v in pool if v not in removed]
+        level += 1
+    return tuple(pool), {v: max(seen[v], default=0.0) for v in pool}

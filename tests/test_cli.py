@@ -129,6 +129,61 @@ class TestExitCodes:
         code = run(["pc", "--input", str(bad), "--output", str(tmp_path / "out")])
         assert code == EXIT_INPUT
 
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        code = run(["pc", "--input", str(tmp_path), "--output", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and str(tmp_path) in err
+
+    def test_output_is_a_file(self, tmp_path, capsys):
+        path, _ = chain_csv(tmp_path, n=50)
+        code = run(["pc", "--input", str(path), "--output", str(path)])
+        assert code == EXIT_INPUT
+        assert "File exists" in capsys.readouterr().err
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("a,b\n1,2\n3,4\n\xe9,5\n".encode("latin-1"))
+        code = run(["pc", "--input", str(bad), "--output", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth, named", [
+        ({"edges": [[0, 1, "->"]]}, '"p"'),
+        ({"p": 3, "edges": [[0, 1]]}, "[0, 1]"),
+        ({"p": 3, "edges": [[0, 3, "->"]]}, "[0, 3, '->']"),
+        ({"p": 3, "edges": [[0, -1, "->"]]}, "[0, -1, '->']"),
+        ({"p": 3, "edges": [[0, 1, "--"]]}, "[0, 1, '--']"),
+        ({"p": 3, "edges": [[0, 1, "->"]], "weights": [[0, 1]]}, "not a truth JSON"),
+    ], ids=["no-p", "two-fields", "endpoint-past-p", "negative-endpoint",
+            "undirected-mark", "short-weight"])
+    def test_malformed_truth(self, tmp_path, capsys, truth, named):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth), encoding="utf-8")
+        code = run(["skeleton", "--input", str(path), "--output", str(tmp_path / "out"),
+                    "--indep-test", "oracle"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and named in err
+        assert not (tmp_path / "out" / "skeleton.json").exists()
+
+    def test_truth_not_json(self, tmp_path, capsys):
+        path = tmp_path / "truth.json"
+        path.write_text('{"p": 3,', encoding="utf-8")
+        code = run(["pc", "--input", str(path), "--output", str(tmp_path / "out"),
+                    "--indep-test", "oracle"])
+        assert code == EXIT_INPUT
+        assert f"{path}: not a truth JSON" in capsys.readouterr().err
+
+    def test_oracle_ida_weights_off_the_edges(self, tmp_path, capsys):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"p": 3, "edges": [[0, 1, "->"]],
+                                    "weights": [[1, 2, 0.5]]}), encoding="utf-8")
+        code = run(["ida", "--input", str(path), "--output", str(tmp_path / "out"),
+                    "--indep-test", "oracle", "--cause", "0", "--outcome", "1"])
+        assert code == EXIT_INPUT
+        assert f"{path}: weights must cover" in capsys.readouterr().err
+
     def test_zero_variance_is_numeric_failure(self, tmp_path):
         flat = tmp_path / "flat.csv"
         flat.write_text("a,b\n1.5,3.25\n2.5,3.25\n3.5,3.25\n", encoding="utf-8")
@@ -248,7 +303,7 @@ class TestBench:
         calls = iter(range(100))
         monkeypatch.setattr(
             cli_mod, "_run_bench_algo",
-            lambda cfg, algo, workers, mem: (1.0, 1, f"digest{next(calls)}"))
+            lambda cfg, algo, inputs, workers, mem: (1.0, 1, f"digest{next(calls)}"))
         cfg = RunConfig(command="bench", input=path, output=tmp_path / "out")
         assert cmd_bench(cfg) == EXIT_MISMATCH
 

@@ -5,10 +5,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import random_dag, total_effect
+from oracles import (pc_simple_reference, random_dag, sample_binary_network,
+                     total_effect)
 from stablepc import (
     Cpdag,
     Dag,
+    DiscreteSuffStat,
+    FisherZTest,
+    GSquaredTest,
     GaussianSuffStat,
     LevelExecutionError,
     OracleTest,
@@ -18,6 +22,7 @@ from stablepc import (
     cpdag_from_dag,
     ida_effects,
     linear_sem_population_cov,
+    gaussian_suffstat,
     linear_sem_sample,
     pc_simple,
 )
@@ -125,6 +130,62 @@ class TestPcSimple:
         assert (whole.peak_tasks_in_flight, batched.peak_tasks_in_flight) == (5, 2)
         assert whole == batched
         assert "peak_tasks_in_flight" not in whole.to_json_dict()
+
+
+
+def fisher_case(seed, p=10, n=300, density=0.3):
+    rng = np.random.default_rng(seed)
+    dag, weights = random_weighted_dag(p, density, rng)
+    suff = gaussian_suffstat(linear_sem_sample(dag, weights, n, noise_seed=seed))
+    return suff, FisherZTest(suff)
+
+
+def g_squared_case(seed, p=8, n=500, density=0.3):
+    rng = np.random.default_rng(seed)
+    suff = DiscreteSuffStat(sample_binary_network(random_dag(p, density, rng), n, rng),
+                            [2] * p)
+    return suff, GSquaredTest(suff)
+
+
+class TestPcSimpleAgainstReference:
+    """``pc_simple`` equals the scalar loop of ``oracles.pc_simple_reference``
+    exactly: the same members and bit-identical p-values."""
+
+    def check(self, suff, test, target, alpha=0.01, max_level=None):
+        members, p_values = pc_simple_reference(test, suff.p, target, alpha, max_level)
+        for workers in (1, 2):
+            cfg = SkeletonConfig(alpha=alpha, max_level=max_level, num_workers=workers)
+            result = pc_simple(suff, test, target, alpha, cfg)
+            assert result.members == members, (target, workers)
+            assert dict(result.p_values) == p_values, (target, workers)
+        return members
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_fisher_z(self, seed):
+        suff, test = fisher_case(seed)
+        sizes = [len(self.check(suff, test, target)) for target in range(suff.p)]
+        assert max(sizes) >= 2
+
+    @pytest.mark.parametrize("seed", [5, 12])
+    def test_g_squared(self, seed):
+        suff, test = g_squared_case(seed)
+        sizes = [len(self.check(suff, test, target)) for target in range(suff.p)]
+        assert max(sizes) >= 2
+
+    def test_max_level(self):
+        suff, test = fisher_case(3)
+        for max_level in (0, 1):
+            for target in range(suff.p):
+                self.check(suff, test, target, max_level=max_level)
+
+    def test_two_variables(self):
+        suff, test = fisher_case(4, p=2, density=1.0)
+        assert self.check(suff, test, 0) == (1,)
+        assert self.check(suff, test, 1) == (0,)
+
+    def test_pool_empties(self):
+        stat = GaussianSuffStat(np.eye(5), 200)
+        assert self.check(stat, FisherZTest(stat), 2) == ()
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from stablepc.skeleton import (
     LevelExecutor,
     probe_free_memory,
     run_level,
+    stable_levels,
 )
 
 
@@ -233,9 +234,8 @@ class TestEstimateTaskCost:
 
 def run_engine(decide, shared, rows, test, workers):
     """``run_level`` on a fresh executor with ``workers`` workers."""
-    with LevelExecutor(workers, test, 0.01) as ex:
-        return run_level(ex, decide, shared, rows,
-                         SkeletonConfig(num_workers=workers), 64)
+    with LevelExecutor(SkeletonConfig(num_workers=workers), test) as ex:
+        return run_level(ex, decide, shared, rows, 64)
 
 
 def _echo_row(shared, rows, test, alpha):
@@ -282,7 +282,7 @@ class TestRunLevelParallel:
 
     def test_worker_exit_aborts_level_and_executor_recovers(self):
         shared, rows, test = self.make_level(p=4)
-        with LevelExecutor(2, test, 0.01) as ex:
+        with LevelExecutor(SkeletonConfig(num_workers=2), test) as ex:
             with pytest.raises(LevelExecutionError):
                 ex.map_slices([(_exit_worker, shared, rows[:1]),
                                (_echo_row, shared, rows[1:])])
@@ -447,6 +447,22 @@ class TestSkeletonStable:
                     assert seps == reference[1]
                     assert [(s.tests, s.removals) for s in stats.levels] == \
                         [(s.tests, s.removals) for s in reference[2].levels]
+
+    def test_level_edges_match_a_full_scan(self):
+        # each level's edges, taken from the previous level's survivors, are
+        # those of a full scan of the level-start graph with its degrees
+        suff = gaussian_case(5, p=10, density=0.3)
+        adj = ~np.eye(suff.p, dtype=bool)
+        start, left_out = adj.copy(), 0
+        with LevelExecutor(SkeletonConfig(), FisherZTest(suff)) as ex:
+            for level, edges, _ in stable_levels(ex, suff, adj,
+                                                 np.argwhere(np.triu(adj, 1))):
+                degree = start.sum(axis=1)
+                scan = np.argwhere(np.triu(start, 1))
+                kept = (degree[scan[:, 0]] > level) | (degree[scan[:, 1]] > level)
+                assert np.array_equal(edges, scan[kept]), level
+                start, left_out = adj.copy(), left_out + int((~kept).sum())
+        assert level >= 2 and left_out > 0
 
     def test_oracle_chain_search_records_every_separator(self):
         # 0 - 1 - 2 share neighbour 1; sizes run from the removal level 1

@@ -57,9 +57,6 @@ from .skeleton import (
     LevelStat,
     LevelStats,
     SkeletonConfig,
-    decide_edges,
-    estimate_task_cost,
-    plan_batches,
     skeleton_stable,
 )
 
@@ -97,9 +94,7 @@ __all__ = [
     "complete_graph",
     "cpdag_from_dag",
     "d_separated",
-    "decide_edges",
     "discrete_suffstat",
-    "estimate_task_cost",
     "gaussian_suffstat",
     "ida_effects",
     "linear_sem_population_cov",
@@ -110,7 +105,6 @@ __all__ = [
     "orient_v_structures",
     "partial_correlation",
     "pc_simple",
-    "plan_batches",
     "sample_covariance",
     "skeleton_stable",
     "write_csv",

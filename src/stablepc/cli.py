@@ -193,11 +193,8 @@ def random_weighted_dag(p: int, density: float, rng: np.random.Generator
 
 
 def _truth_json_dict(dag: Dag, weights: dict[tuple[int, int], float]) -> dict:
-    return {
-        "p": dag.p,
-        "edges": [[u, v, "->"] for u, v in sorted(dag.edges())],
-        "weights": [[u, v, weights[(u, v)]] for u, v in sorted(weights)],
-    }
+    return {**dag.to_json_dict(),
+            "weights": [[u, v, weights[(u, v)]] for u, v in sorted(weights)]}
 
 
 def _load_truth(path: Path) -> tuple[Dag, dict[tuple[int, int], float] | None]:
@@ -241,6 +238,8 @@ def _prepare_inputs(cfg: RunConfig) -> Inputs:
     dataset = weights = None
     if cfg.indep_test == "oracle":
         suff, weights = _load_truth(cfg.input)
+        if suff.p < 2:
+            raise CliInputError(f"{cfg.input}: need at least two variables, got {suff.p}")
         test, p = make_citest("oracle", dag=suff), suff.p
     elif cfg.indep_test in ("fisher-z", "mi-g"):
         dataset = load_csv(cfg.input, "continuous")

@@ -43,9 +43,6 @@ class SkeletonGraph:
         self.p = p
         self.adj = adj
 
-    def copy(self) -> "SkeletonGraph":
-        return SkeletonGraph(self.p, self.adj)
-
     def _check(self, *vs: int) -> None:
         for v in vs:
             if not 0 <= v < self.p:
@@ -61,10 +58,6 @@ class SkeletonGraph:
             raise GraphError("no self loops")
         self.adj[i, j] = self.adj[j, i] = True
 
-    def remove_edge(self, i: int, j: int) -> None:
-        self._check(i, j)
-        self.adj[i, j] = self.adj[j, i] = False
-
     def neighbors(self, v: int) -> list[int]:
         self._check(v)
         return np.flatnonzero(self.adj[v]).tolist()
@@ -74,9 +67,6 @@ class SkeletonGraph:
         for i in range(self.p):
             for j in np.flatnonzero(self.adj[i, i + 1:]):
                 yield i, int(j) + i + 1
-
-    def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SkeletonGraph)
@@ -133,13 +123,6 @@ class Cpdag:
     def has_edge(self, i: int, j: int) -> bool:
         return self.mark[i, j] != NO_END
 
-    def is_undirected(self, i: int, j: int) -> bool:
-        return self.mark[i, j] == TAIL and self.mark[j, i] == TAIL
-
-    def is_directed(self, i: int, j: int) -> bool:
-        """True iff the edge is oriented i -> j."""
-        return self.mark[i, j] == ARROW and self.mark[j, i] == TAIL
-
     def orient(self, i: int, j: int) -> None:
         """Set i -> j, overwriting any previous marks on this edge."""
         if not self.has_edge(i, j):
@@ -151,10 +134,6 @@ class Cpdag:
         """Nodes u with u -> v."""
         return [u for u in np.flatnonzero(self.mark[:, v] == ARROW).tolist()
                 if self.mark[v, u] == TAIL]
-
-    def children(self, v: int) -> list[int]:
-        return [u for u in np.flatnonzero(self.mark[v] == ARROW).tolist()
-                if self.mark[u, v] == TAIL]
 
     def undirected_neighbors(self, v: int) -> list[int]:
         return [u for u in np.flatnonzero(self.mark[v] == TAIL).tolist()
@@ -176,40 +155,6 @@ class Cpdag:
                     out.append((i, j))
         return out
 
-    def skeleton(self) -> SkeletonGraph:
-        return SkeletonGraph(self.p, self.mark != NO_END)
-
-    def validate(self) -> None:
-        """Check mark consistency, no bidirected edges, acyclic directed part."""
-        for i in range(self.p):
-            if self.mark[i, i] != NO_END:
-                raise GraphError(f"self mark at {i}")
-            for j in range(i + 1, self.p):
-                a, b = self.mark[i, j], self.mark[j, i]
-                if (a == NO_END) != (b == NO_END):
-                    raise GraphError(f"half-present edge between {i} and {j}")
-                if a == ARROW and b == ARROW:
-                    raise GraphError(f"bidirected edge between {i} and {j}")
-        if not self.directed_part_acyclic():
-            raise GraphError("directed part has a cycle")
-
-    def directed_part_acyclic(self) -> bool:
-        indegree = [0] * self.p
-        children: list[list[int]] = [[] for _ in range(self.p)]
-        for i, j in self.directed_edges():
-            children[i].append(j)
-            indegree[j] += 1
-        queue = deque(v for v in range(self.p) if indegree[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for c in children[v]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    queue.append(c)
-        return seen == self.p
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Cpdag)
                 and self.p == other.p
@@ -230,7 +175,7 @@ class SepsetMap:
     """Separating sets recorded for removed edges, keyed by unordered pair.
 
     Each removed edge has one first-found set, the one that removed it
-    (``get``, ``pairs``, ``to_json_dict``).  A pair may also carry the
+    (``get``, ``pair_array``, ``to_json_dict``).  A pair may also carry the
     result of the separating-set search on the final skeleton: every set
     that search accepted, possibly none (``set_search``, ``get_search``).
     Orientation votes over the search result where there is one.  Equality
@@ -360,18 +305,11 @@ class SepsetMap:
         """The search's accepted sets, or None when (i, j) was not searched."""
         return self._search.get(self._key(i, j))
 
-    def has(self, i: int, j: int) -> bool:
-        a, b = self._key(i, j)
-        return bool(self._records(np.array([a]), np.array([b]))[0] >= 0)
-
     def pair_array(self) -> np.ndarray:
         """The pairs (i, j), i < j, that have a set, ascending, as an
         (m, 2) array."""
         codes = self._table()[0]
         return np.column_stack([codes >> 32, codes & 0xFFFFFFFF])
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in self.pair_array().tolist()]
 
     def __len__(self) -> int:
         return len(self._table()[0])
@@ -549,15 +487,6 @@ def d_separated(dag: Dag, i: int, j: int, s: Iterable[int]) -> bool:
                 seen.add(u)
                 queue.append(u)
     return True
-
-
-def skeleton_from_json_dict(data: dict) -> SkeletonGraph:
-    g = SkeletonGraph(int(data["p"]))
-    for i, j, m in data["edges"]:
-        if m != "--":
-            raise GraphError(f"skeleton edge with mark '{m}'")
-        g.add_edge(int(i), int(j))
-    return g
 
 
 def dag_from_json_dict(data: object) -> Dag:

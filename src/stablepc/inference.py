@@ -69,9 +69,6 @@ class EffectMultiset:
     outcome: int
     effects: tuple[IdaEffect, ...]
 
-    def effect_values(self) -> list[float]:
-        return [e.effect for e in self.effects if e.effect is not None]
-
     def to_json_dict(self) -> dict:
         return {
             "cause": self.cause,

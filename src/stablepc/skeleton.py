@@ -558,11 +558,13 @@ def stable_levels(ex: LevelExecutor, suff: object, adj: np.ndarray, edges: np.nd
 
     ``edges`` lists every edge of ``adj`` as (i, j), i < j, ascending.  Up to
     ``ex.cfg.max_level``, a level decides the edges with an endpoint of
-    degree above the level against a copy of ``adj``, removes the accepted
-    ones from ``adj`` and yields the level, its edges and ``decide_edges``'s
-    columns; ``suff`` sizes the batches.  The next level's edges are the
-    survivors: an edge left out has both degrees at most the level, and
-    degrees only fall.  Stops at the first level with no edge to test.
+    degree above the level against ``adj`` as the level found it (nothing
+    writes ``adj`` while ``run_level`` runs, and each level's ``shared`` is
+    a new tuple, so workers get it afresh), removes the accepted ones from
+    ``adj`` and yields the level, its edges and ``decide_edges``'s columns;
+    ``suff`` sizes the batches.  The next level's edges are the survivors:
+    an edge left out has both degrees at most the level, and degrees only
+    fall.  Stops at the first level with no edge to test.
     """
     max_level = ex.cfg.max_level
     level = 0
@@ -571,7 +573,7 @@ def stable_levels(ex: LevelExecutor, suff: object, adj: np.ndarray, edges: np.nd
         edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
         if not len(edges):
             return
-        decided = run_level(ex, decide_edges, (level, adj.copy()), edges,
+        decided = run_level(ex, decide_edges, (level, adj), edges,
                             estimate_task_cost(level, suff))
         found = decided[0]
         gone = edges[found]
@@ -636,7 +638,7 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
 
         rows = _search_rows(graph, sepsets, cfg.max_level)
         cost = estimate_task_cost(int(rows[:, 3].max(initial=0)), suff)
-        searched, search_tests = run_level(ex, _search_pairs, graph.adj.copy(), rows, cost)
+        searched, search_tests = run_level(ex, _search_pairs, graph.adj, rows, cost)
         for (i, j), sets in zip(rows[:, :2].tolist(), searched):
             sepsets.set_search(i, j, sets)
     return graph, sepsets, LevelStats(tuple(level_rows), ex.peak_tasks_in_flight,

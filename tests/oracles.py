@@ -23,8 +23,8 @@ import numpy as np
 from scipy.special import gammaincc
 
 from stablepc import (Cpdag, Dag, DegenerateConditioningError, DiscreteSuffStat,
-                      GaussianSuffStat)
-from stablepc.graphs import ARROW, TAIL
+                      GaussianSuffStat, GraphError)
+from stablepc.graphs import ARROW, NO_END, TAIL
 
 mpmath.mp.dps = 50
 
@@ -167,6 +167,25 @@ def _acyclic(parent_sets: list[set[int]]) -> bool:
             if indegree[c] == 0:
                 queue.append(c)
     return seen == p
+
+
+def validate_cpdag(g: Cpdag) -> None:
+    """Check mark consistency, no bidirected edges, acyclic directed part;
+    GraphError naming the first fault."""
+    for i in range(g.p):
+        if g.mark[i, i] != NO_END:
+            raise GraphError(f"self mark at {i}")
+        for j in range(i + 1, g.p):
+            a, b = g.mark[i, j], g.mark[j, i]
+            if (a == NO_END) != (b == NO_END):
+                raise GraphError(f"half-present edge between {i} and {j}")
+            if a == ARROW and b == ARROW:
+                raise GraphError(f"bidirected edge between {i} and {j}")
+    parent_sets: list[set[int]] = [set() for _ in range(g.p)]
+    for i, j in g.directed_edges():
+        parent_sets[j].add(i)
+    if not _acyclic(parent_sets):
+        raise GraphError("directed part has a cycle")
 
 
 def pcor_residuals(data: np.ndarray, i: int, j: int, s) -> float:

@@ -34,11 +34,11 @@ from stablepc import (
     GaussianSuffStat,
     GSquaredTest,
     OracleTest,
-    estimate_task_cost,
     gaussian_suffstat,
     make_citest,
     partial_correlation,
 )
+from stablepc.skeleton import estimate_task_cost
 
 
 def identity_stat(p, n=50):

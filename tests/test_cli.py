@@ -175,6 +175,15 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert f"{path}: not a truth JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pc", "skeleton"])
+    def test_one_variable_truth(self, tmp_path, capsys, command):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"p": 1, "edges": []}), encoding="utf-8")
+        code = run([command, "--input", str(path), "--output", str(tmp_path / "out"),
+                    "--indep-test", "oracle"])
+        assert code == EXIT_INPUT
+        assert f"{path}: need at least two variables, got 1" in capsys.readouterr().err
+
     def test_oracle_ida_weights_off_the_edges(self, tmp_path, capsys):
         path = tmp_path / "truth.json"
         path.write_text(json.dumps({"p": 3, "edges": [[0, 1, "->"]],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import equivalence_class_cpdag, random_dag
+from oracles import equivalence_class_cpdag, random_dag, validate_cpdag
 from stablepc import (
     Cpdag,
     Dag,
@@ -33,14 +33,14 @@ class TestOrientVStructures:
         seps = SepsetMap()
         seps.set(0, 1, [])
         g = orient_v_structures(skel, seps)
-        assert g.is_directed(0, 2) and g.is_directed(1, 2)
+        assert {(0, 2), (1, 2)} <= set(g.directed_edges())
 
     def test_chain_not_oriented(self):
         skel = skeleton_with(3, [(0, 1), (1, 2)])
         seps = SepsetMap()
         seps.set(0, 2, [1])
         g = orient_v_structures(skel, seps)
-        assert g.is_undirected(0, 1) and g.is_undirected(1, 2)
+        assert {(0, 1), (1, 2)} <= set(g.undirected_edges())
 
     def test_triangle_untouched(self):
         skel = complete_graph(3)
@@ -57,7 +57,7 @@ class TestOrientVStructures:
     def test_missing_sepset_skips_triple(self):
         skel = skeleton_with(3, [(0, 2), (1, 2)])
         g = orient_v_structures(skel, SepsetMap())
-        assert g.is_undirected(0, 2) and g.is_undirected(1, 2)
+        assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
 
     def test_conflict_resolved_by_last_writer(self):
         # triple (0,1,2) orients 0->1<-2; triple (1,0,3) orients 1->0<-3.
@@ -70,9 +70,9 @@ class TestOrientVStructures:
         seps.set(1, 3, [])
         seps.set(2, 3, [0, 1])
         g = orient_v_structures(skel, seps)
-        assert g.is_undirected(0, 1)
-        assert g.is_directed(3, 0)
-        assert g.is_directed(2, 1)
+        assert (0, 1) in g.undirected_edges()
+        assert (3, 0) in g.directed_edges()
+        assert (2, 1) in g.directed_edges()
 
 
 class TestMajorityRule:
@@ -88,27 +88,27 @@ class TestMajorityRule:
 
     def test_minority_membership_is_collider(self):
         g = self.orient([(3,), (4,), (2, 3)])
-        assert g.is_directed(0, 2) and g.is_directed(1, 2)
+        assert {(0, 2), (1, 2)} <= set(g.directed_edges())
         assert (0, 2, 1) not in g.ambiguous
 
     def test_majority_membership_is_non_collider(self):
         g = self.orient([(2,), (2, 3), (4,)], first=())
-        assert g.is_undirected(0, 2) and g.is_undirected(1, 2)
+        assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
         assert (0, 2, 1) not in g.ambiguous
 
     def test_tie_is_ambiguous(self):
         g = self.orient([(2,), (3,)])
-        assert g.is_undirected(0, 2) and g.is_undirected(1, 2)
+        assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
         assert (0, 2, 1) in g.ambiguous
 
     def test_no_set_found_is_ambiguous(self):
         g = self.orient([])
-        assert g.is_undirected(0, 2) and g.is_undirected(1, 2)
+        assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
         assert g.ambiguous == {(0, 2, 1)}
 
     def test_unsearched_pair_uses_its_single_set(self):
-        assert self.orient(None, first=()).is_directed(0, 2)
-        assert self.orient(None, first=(2,)).is_undirected(0, 2)
+        assert (0, 2) in self.orient(None, first=()).directed_edges()
+        assert (0, 2) in self.orient(None, first=(2,)).undirected_edges()
 
     def test_ambiguous_triples_survive_closure_and_copy(self):
         g = self.orient([])
@@ -122,14 +122,14 @@ class TestMeekClosure:
         g = Cpdag.from_skeleton(skeleton_with(3, [(0, 1), (1, 2)]))
         g.orient(0, 1)
         out = meek_closure(g)
-        assert out.is_directed(1, 2)
+        assert (1, 2) in out.directed_edges()
 
     def test_r2(self):
         g = Cpdag.from_skeleton(complete_graph(3))
         g.orient(0, 1)
         g.orient(1, 2)
         out = meek_closure(g)
-        assert out.is_directed(0, 2)
+        assert (0, 2) in out.directed_edges()
 
     def test_r3(self):
         # 0-1, 0-2, 0-3, 2->1, 3->1, 2 and 3 non-adjacent => 0->1
@@ -138,7 +138,7 @@ class TestMeekClosure:
         g.orient(2, 1)
         g.orient(3, 1)
         out = meek_closure(g)
-        assert out.is_directed(0, 1)
+        assert (0, 1) in out.directed_edges()
 
     def test_r4(self):
         # 0-1, 0-2, 2->3, 3->1, 0-3 adjacent, 2,1 non-adjacent => 0->1
@@ -147,13 +147,13 @@ class TestMeekClosure:
         g.orient(2, 3)
         g.orient(3, 1)
         out = meek_closure(g)
-        assert out.is_directed(0, 1)
+        assert (0, 1) in out.directed_edges()
 
     def test_r1_blocked_by_ambiguous_triple(self):
         g = Cpdag.from_skeleton(skeleton_with(3, [(0, 1), (1, 2)]))
         g.orient(0, 1)
         g.ambiguous = frozenset({(0, 1, 2)})
-        assert meek_closure(g).is_undirected(1, 2)
+        assert (1, 2) in meek_closure(g).undirected_edges()
 
     def test_r3_blocked_by_ambiguous_triple(self):
         g = Cpdag.from_skeleton(
@@ -161,7 +161,7 @@ class TestMeekClosure:
         g.orient(2, 1)
         g.orient(3, 1)
         g.ambiguous = frozenset({(2, 0, 3)})
-        assert meek_closure(g).is_undirected(0, 1)
+        assert (0, 1) in meek_closure(g).undirected_edges()
 
     def test_opposite_proposals_leave_edge_undirected(self):
         # 2 -> 0 - 1 <- 3 with 2, 3 non-adjacent to the far end: R1
@@ -170,8 +170,8 @@ class TestMeekClosure:
         g.orient(2, 0)
         g.orient(3, 1)
         out = meek_closure(g)
-        assert out.is_undirected(0, 1)
-        assert out.is_directed(2, 0) and out.is_directed(3, 1)
+        assert (0, 1) in out.undirected_edges()
+        assert {(2, 0), (3, 1)} <= set(out.directed_edges())
 
     def test_rounds_apply_against_snapshot(self):
         # 0 -> 1 - 2 - 3: round one orients 1 -> 2 only; 2 -> 3 follows in
@@ -200,10 +200,9 @@ class TestMeekClosure:
             g, seps, _ = skeleton_stable(dag, OracleTest(dag), 6, SkeletonConfig())
             oriented = orient_v_structures(g, seps)
             closed = meek_closure(oriented)
-            assert closed.skeleton() == oriented.skeleton()
+            assert np.array_equal(closed.mark != 0, oriented.mark != 0)
             # only tails become arrows, never the reverse
-            for i, j in closed.undirected_edges():
-                assert oriented.is_undirected(i, j)
+            assert set(closed.undirected_edges()) <= set(oriented.undirected_edges())
 
     def test_input_not_mutated(self):
         g = Cpdag.from_skeleton(skeleton_with(3, [(0, 1), (1, 2)]))
@@ -222,7 +221,7 @@ class TestCpdagFromDag:
     def test_collider_fully_directed(self):
         dag = Dag(3, [[], [], [0, 1]])
         g = cpdag_from_dag(dag)
-        assert g.is_directed(0, 2) and g.is_directed(1, 2)
+        assert {(0, 2), (1, 2)} <= set(g.directed_edges())
 
     def test_single_edge_undirected(self):
         dag = Dag(2, [[], [0]])
@@ -239,7 +238,7 @@ class TestCpdagFromDag:
         rng = np.random.default_rng(31)
         for _ in range(20):
             dag = random_dag(7, 0.4, rng)
-            cpdag_from_dag(dag).validate()
+            validate_cpdag(cpdag_from_dag(dag))
 
     def test_oracle_pipeline_permutation_equivariant(self):
         # with exact CI information every recorded sepset is a true

@@ -16,11 +16,8 @@ from stablepc import (
     LevelExecutionError,
     OracleTest,
     SkeletonConfig,
-    decide_edges,
-    estimate_task_cost,
     gaussian_suffstat,
     pc_simple,
-    plan_batches,
     skeleton_stable,
 )
 from stablepc import skeleton
@@ -32,6 +29,9 @@ from stablepc.skeleton import (
     GAUSSIAN_TASK_BASE,
     GAUSSIAN_TASK_CELL,
     LevelExecutor,
+    decide_edges,
+    estimate_task_cost,
+    plan_batches,
     probe_free_memory,
     run_level,
     stable_levels,
@@ -153,7 +153,7 @@ class TestDecideEdge:
         graph, seps, stats = skeleton_stable(None, _ByPairSum(), 6,
                                              SkeletonConfig(max_level=0))
         assert sorted(graph.edges()) == [tuple(r) for r in rows[kind != 1].tolist()]
-        assert seps.pairs() == [tuple(r) for r in rows[kind == 1].tolist()]
+        assert seps.pair_array().tolist() == rows[kind == 1].tolist()
         assert (stats.levels[0].degenerate, stats.levels[0].removals) == \
             (int((kind == 0).sum()), int((kind == 1).sum()))
 
@@ -404,7 +404,7 @@ class TestSkeletonStable:
         stat = GaussianSuffStat(np.eye(5), 100)
         graph, seps, stats = skeleton_stable(stat, FisherZTest(stat), 5,
                                              SkeletonConfig(alpha=0.01))
-        assert graph.edge_count() == 0
+        assert list(graph.edges()) == []
         assert all(seps.get(i, j) == () for i in range(5) for j in range(i + 1, 5))
         assert stats.levels[0].removals == 10
 
@@ -489,7 +489,7 @@ class TestSkeletonStable:
         suff = gaussian_case(5, p=14, n=200, density=0.3)
         reference = run_outputs(suff, FisherZTest(suff), suff.p,
                                 SkeletonConfig(num_workers=1))
-        searched = [pair for pair in reference[1].pairs()
+        searched = [pair for pair in reference[1].pair_array().tolist()
                     if reference[1].get_search(*pair) is not None]
         assert searched and reference[2].search_tests > 0
         for workers in (1, 2):
@@ -507,7 +507,8 @@ class TestSkeletonStable:
                                          SkeletonConfig(max_level=0))
         # 2 - 3 survives; the pairs of causes are searched at size 0 only
         assert seps.get_search(2, 3) is None
-        assert [seps.get_search(*pair) for pair in seps.pairs()] == [((),)] * 3
+        pairs = seps.pair_array().tolist()
+        assert [seps.get_search(*pair) for pair in pairs] == [((),)] * 3
         assert stats.search_tests == 3
 
     def test_column_permutation_equivariance(self):
@@ -565,7 +566,7 @@ class TestSkeletonStable:
         stat = GaussianSuffStat(corr, 50)
         graph, _, _ = skeleton_stable(stat, FisherZTest(stat), 3,
                                       SkeletonConfig(num_workers=2))
-        assert graph.edge_count() == 3
+        assert len(list(graph.edges())) == 3
 
     def test_reentrant_concurrent_runs(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -16,22 +16,27 @@ kernel: canonical rows [min(i, j), max(i, j), *sorted(s)] in, each row's
 statistic, p-value and dof out, NaN p for a degenerate set.  ``pvalues`` is
 that kernel on every row, and the scalar call is the kernel on one row, so
 the two forms agree bit for bit.  The G-squared and chi-squared tests count
-contingency tables; a test's tables hold at most
-min(n, prod of the set's arities) * a_i * a_j cells, while its dof keeps the
-full arity product.  Every test reads the conditioning set in ascending
-order, so the set's order never changes an outcome.
+contingency tables on one of three paths: popcounts of ANDed per-value
+bitsets for tables small against n whose rows share their arities, one
+``bincount`` of cell keys per chunk of rows otherwise, and ranked strata for
+a row whose strata outnumber the samples.  All three give the same integer
+counts, so the statistic does not depend on the path.  A test's tables hold
+at most min(n, prod of the set's arities) * a_i * a_j cells, while its dof
+keeps the full arity product.  Every test reads the conditioning set in
+ascending order, so the set's order never changes an outcome.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .data import DiscreteSuffStat, GaussianSuffStat
+from .data import BITSET_MAX_ARITY, DiscreteSuffStat, GaussianSuffStat
 from .graphs import Dag, d_separated
 
 # |r| is clamped below 1 by this margin before atanh to keep z finite.
@@ -40,10 +45,11 @@ ATANH_CLAMP = 1.0 - 1e-12
 TEST_IDS = ("fisher-z", "mi-g", "g-sq", "x-sq", "oracle")
 
 # The discrete kernel counts a chunk of rows at once.  A chunk's cell keys
-# take at most CHUNK_BYTES, and so do its int64 counts unless one row's table
-# alone is larger.  32 rows of n=4000 int32 keys was fastest on a 2-core
-# machine; 128 and 512 rows were slower.  Keys are int32 for tables of fewer
-# than 2**31 cells; a chunk of several rows then spans at most CHUNK_BYTES / 8.
+# (or its cells' bitsets) and its int64 counts each take at most
+# CHUNK_BYTES, unless one row alone takes more.  32 rows of n=4000 int32 keys
+# was fastest on a 2-core machine; 128 and 512 rows were slower.  Keys are
+# int32 for tables of fewer than 2**31 cells; a chunk of several rows then
+# spans at most CHUNK_BYTES / 8.
 CHUNK_BYTES = 1 << 19
 
 
@@ -128,8 +134,10 @@ def _one_row(p: int, i: int, j: int, s: Sequence[int]) -> np.ndarray:
 def _chi2_sfs(x: np.ndarray, dof: np.ndarray) -> np.ndarray:
     """Upper tail of chi-squared per (x, dof) pair, via the regularized
     incomplete gamma: 1 where dof <= 0 or x <= 0, NaN where x is NaN."""
-    out = np.ones(len(x))
     live = (dof > 0) & ~(x <= 0)
+    if live.all():
+        return gammaincc(dof / 2.0, x / 2.0)
+    out = np.ones(len(x))
     out[live] = gammaincc(dof[live] / 2.0, x[live] / 2.0)
     return out
 
@@ -268,22 +276,32 @@ def _ranked_cell_keys(codes_t: np.ndarray, arities: tuple[int, ...], cols: np.nd
     return (key * arities[i] + codes_t[i]) * arities[j] + codes_t[j], count
 
 
-def _table_shapes(arity: np.ndarray,
-                  rows: np.ndarray) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """(a_i, a_j, arity product of the set, row indices) per table shape of
-    the canonical ``rows``; the product is an exact Python int."""
-    shape = arity[rows]
-    shape[:, 2:].sort(axis=1)
-    if (shape == shape[0]).all():               # one shape, the common case
-        ai, aj, *set_arities = shape[0].tolist()
-        yield ai, aj, math.prod(set_arities), np.arange(len(rows))
+def _ranked_statistic(stat: DiscreteSuffStat, row: np.ndarray, ai: int, aj: int,
+                      pearson: bool) -> float:
+    """The statistic of one row [*s, i, j] counted on its ranked strata."""
+    key, count = _ranked_cell_keys(stat.codes.T, stat.arities, row, stat.n)
+    counts = np.bincount(key, minlength=count * ai * aj)
+    return _table_statistics(counts.reshape(count, ai, aj), np.array([0, counts.size]),
+                             pearson)[0]
+
+
+def _table_shapes(radix: np.ndarray) -> Iterator[
+        tuple[int, int, int, np.ndarray | slice, tuple[int, ...] | None]]:
+    """(a_i, a_j, arity product of the set, row positions, arities) per
+    table shape of rows whose arities in radix order [*s, i, j] are
+    ``radix``.  The product is an exact Python int; the arities are those of
+    every row of the group when they are all the same, else None."""
+    if (radix == radix[0]).all():               # one shape, the common case
+        *set_arities, ai, aj = shape = radix[0].tolist()
+        yield ai, aj, math.prod(set_arities), slice(None), tuple(shape)
         return
+    shape = np.concatenate((radix[:, -2:], np.sort(radix[:, :-2], axis=1)), axis=1)
     distinct, inverse = np.unique(shape, axis=0, return_inverse=True)
     groups: dict[tuple[int, int, int], list[int]] = {}
     for g, (ai, aj, *set_arities) in enumerate(distinct.tolist()):
         groups.setdefault((ai, aj, math.prod(set_arities)), []).append(g)
     for (ai, aj, strata), ids in groups.items():
-        yield ai, aj, strata, np.flatnonzero(np.isin(inverse, ids))
+        yield ai, aj, strata, np.flatnonzero(np.isin(inverse, ids)), None
 
 
 def _table_statistics(counts: np.ndarray, bounds: np.ndarray, pearson: bool) -> np.ndarray:
@@ -303,9 +321,9 @@ def _table_statistics(counts: np.ndarray, bounds: np.ndarray, pearson: bool) -> 
     totals = rows.sum(axis=1)
     flat = counts.reshape(-1)
     if pearson:
-        cells = np.flatnonzero((rows[:, :, None] > 0) & (cols[:, None, :] > 0))
+        cells = ((rows[:, :, None] > 0) & (cols[:, None, :] > 0)).reshape(-1).nonzero()[0]
     else:
-        cells = np.flatnonzero(flat)
+        cells = flat.nonzero()[0]
     row_cell = cells // aj                      # stratum * a_i + c_i
     stratum = row_cell // ai
     observed = flat[cells]
@@ -319,48 +337,127 @@ def _table_statistics(counts: np.ndarray, bounds: np.ndarray, pearson: bool) -> 
     return np.array([np.add.reduce(terms[a:b]) for a, b in zip(ends[:-1], ends[1:])])
 
 
+def _bitset_path(cells: int, words: int, width: int) -> bool:
+    """Whether tables of ``cells`` cells over ``width`` = |s| + 2 variables
+    are counted on bitsets of ``words`` = ceil(n / 64) words.
+
+    Set from measurement on a 2-core machine over arities 2-7, levels 0-4
+    and n = 100-20000 (the ``crossover_sweep`` benchmark record).  Counting
+    on bitsets costs about cells * (words + 12) word operations: numpy runs
+    one inner loop of ``words`` per cell and pays about 12 words' worth to
+    start it.  Radix keys and ``bincount`` cost about
+    21 * words * (width + 1) of them, each word standing for 64 samples.
+    The rule stays below that break-even, 16 for 21 and 16 for 12, so every
+    size it sends to the bitsets measured faster there per row.  Above
+    2**18 words (n > 2**24) a float32 sum of popcounts could round, so those
+    tables never take the bitsets.
+    """
+    return words <= 1 << 18 and cells * (words + 16) < 16 * words * (width + 1)
+
+
+@lru_cache(maxsize=256)
+def _value_index(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """For each value of each position of ``shape`` in turn: its position
+    and its code, read-only, as every call with ``shape`` shares them."""
+    index = (np.repeat(np.arange(len(shape)), shape),
+             np.concatenate([np.arange(a) for a in shape]))
+    for array in index:
+        array.setflags(write=False)
+    return index
+
+
+def _bitset_counts(stat: DiscreteSuffStat, cols: np.ndarray,
+                   shape: tuple[int, ...]) -> np.ndarray:
+    """(rows, cells) counts of the rows ``cols`` [*s, i, j] whose variables
+    all have the arities ``shape``, cells in radix order.
+
+    The bitsets of the first variable's values are ANDed with each next
+    variable's, so the last AND holds one bitset per cell, and a cell's count
+    is the popcount of its bitset: the integer a ``bincount`` of the cell
+    keys gives.  The popcounts are summed in float32, exactly, as every
+    partial sum is at most n <= 2**24.
+    """
+    position, code = _value_index(shape)
+    values = stat.bitsets[stat.bit_rows[cols[:, position]] + code]
+    rows, _, words = values.shape
+    cell, end = values[:, :shape[0]], shape[0]
+    for a in shape[1:]:
+        cell = (cell[:, :, None] & values[:, None, end:end + a]).reshape(rows, -1, words)
+        end += a
+    return np.einsum("rcw->rc", np.bitwise_count(cell).astype(np.float32)).astype(np.int64)
+
+
+def _bincount_counts(codes_t: np.ndarray, cols: np.ndarray, radix: np.ndarray,
+                     cells: int) -> np.ndarray:
+    """(rows, cells) counts of the rows ``cols`` [*s, i, j], cells in radix
+    order: every sample's cell key offset by its row's table base, and one
+    ``bincount``."""
+    key = _radix_keys(codes_t, cols, radix)
+    key += np.arange(0, len(key) * cells, cells, dtype=key.dtype)[:, None]
+    return np.bincount(key.reshape(-1), minlength=len(key) * cells).reshape(len(key), cells)
+
+
+def _group_counts(stat: DiscreteSuffStat, radix: np.ndarray, cols: np.ndarray, cells: int,
+                  shape: tuple[int, ...] | None) -> Iterator[tuple[slice, np.ndarray]]:
+    """(row positions, their (rows, cells) counts) a chunk at a time, over
+    the rows ``cols`` [*s, i, j] of one table shape, whose variables have
+    the arities ``radix``, all of them ``shape`` unless that is None.
+    Where every row has the same arities and ``_bitset_path`` picks the
+    bitsets, rows are counted on them; else on radix keys and ``bincount``."""
+    words = stat.bitsets.shape[1]
+    if (shape is not None and max(shape) <= BITSET_MAX_ARITY
+            and _bitset_path(cells, words, cols.shape[1])):
+        step = max(1, CHUNK_BYTES // (8 * cells * words))
+        for start in range(0, len(cols), step):
+            part = slice(start, start + step)
+            yield part, _bitset_counts(stat, cols[part], shape)
+        return
+    radix = radix.astype(np.int32 if cells < 1 << 31 else np.int64)
+    step = max(1, min(CHUNK_BYTES // (max(stat.n, 1) * radix.itemsize),
+                      CHUNK_BYTES // (8 * cells)))
+    codes_t = stat.codes.T                      # one variable's codes per row
+    for start in range(0, len(cols), step):
+        part = slice(start, start + step)
+        yield part, _bincount_counts(codes_t, cols[part], radix[part], cells)
+
+
 def _discrete_outcomes(stat: DiscreteSuffStat, rows: np.ndarray,
                        pearson: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stratified G^2 (Pearson X^2 if ``pearson``), its chi-squared
     p-value and its dof for each canonical row [i, j, *s].
 
     A row's tables are its i-by-j contingency tables per stratum, a stratum
-    being a joint configuration of s.  Rows are grouped by table shape and
-    counted a chunk at a time: every sample's cell key
-    ((stratum * a_i + c_i) * a_j + c_j), offset by its row's table base, and
-    one ``bincount`` for the chunk.  The dof uses the full arity product over
-    s; strata that happen to be empty do not reduce it.  A row whose strata
-    would outnumber the samples is counted alone on its ranked stratum keys
-    (``_ranked_cell_keys``), so no table holds more than
-    min(n, prod of arities) * a_i * a_j cells, and every statistic is the one
-    a table over all strata gives, bit for bit.
+    being a joint configuration of s; the cell of a sample is
+    (stratum * a_i + c_i) * a_j + c_j.  Rows are grouped by table shape and
+    counted a chunk at a time on one of three paths (``_group_counts``):
+    where tables are small against n (``_bitset_path``) and the group's rows
+    share their arities, by ANDing the variables' per-value bitsets and
+    popcounting; otherwise by one ``bincount`` of the cell keys of a chunk's
+    rows; and a row whose strata would outnumber the samples alone on its
+    ranked stratum keys (``_ranked_cell_keys``), so no table holds more than
+    min(n, prod of arities) * a_i * a_j cells.  All three give each row's
+    table the same integer counts in the same order, so the statistic, summed
+    by ``_table_statistics`` from the counts alone, is the same bit for bit
+    on any path.  The dof uses the full arity product over s; strata that
+    happen to be empty do not reduce it.
     """
     n = stat.n
-    codes_t = stat.codes.T                      # one variable's codes per row
-    arity = np.asarray(stat.arities, dtype=np.int64)
+    cols = np.concatenate((rows[:, 2:], rows[:, :2]), axis=1)  # radix order
+    radix = np.asarray(stat.arities)[cols]
     statistic = np.empty(len(rows))
     dof = np.empty(len(rows))
-    for ai, aj, strata, members in _table_shapes(arity, rows):
+    for ai, aj, strata, members, shape in _table_shapes(radix):
         dof[members] = float((ai - 1) * (aj - 1) * strata)
-        cols = np.concatenate((rows[members, 2:], rows[members, :2]), axis=1)  # radix order
+        group = cols[members]
         if strata > n:
-            for k, row in zip(members.tolist(), cols):
-                key, count = _ranked_cell_keys(codes_t, stat.arities, row, n)
-                counts = np.bincount(key, minlength=count * ai * aj)
-                statistic[k] = _table_statistics(counts.reshape(count, ai, aj),
-                                                 np.array([0, counts.size]), pearson)[0]
+            statistic[members] = [_ranked_statistic(stat, row, ai, aj, pearson) for row in group]
             continue
         cells = strata * ai * aj
-        radix = arity[cols].astype(np.int32 if cells < 1 << 31 else np.int64)
-        step = max(1, min(CHUNK_BYTES // (max(n, 1) * radix.itemsize),
-                          CHUNK_BYTES // (8 * cells)))
-        for start in range(0, len(members), step):
-            key = _radix_keys(codes_t, cols[start:start + step], radix[start:start + step])
-            bounds = np.arange(len(key) + 1, dtype=key.dtype) * cells
-            key += bounds[:-1, None]
-            counts = np.bincount(key.reshape(-1), minlength=int(bounds[-1]))
-            statistic[members[start:start + step]] = _table_statistics(
-                counts.reshape(-1, ai, aj), bounds, pearson)
+        for part, counts in _group_counts(stat, radix[members], group, cells, shape):
+            bounds = np.arange(len(counts) + 1) * cells
+            # a slice for members is every row, so part indexes the rows directly
+            statistic[part if isinstance(members, slice) else members[part]] = \
+                _table_statistics(counts.reshape(-1, ai, aj), bounds, pearson)
     if not pearson:
         statistic *= 2.0
     return statistic, _chi2_sfs(statistic, dof), dof

@@ -9,6 +9,7 @@ containers built here (:class:`GaussianSuffStat` for correlation-based tests,
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,13 @@ import numpy as np
 # Columns with at most this many distinct integer values are auto-detected
 # as discrete.  Arbitrary but fixed, so ingestion is reproducible.
 AUTO_DISCRETE_MAX_LEVELS = 32
+
+# Discrete variables of at most this arity also keep per-value bitsets.  It is
+# the largest arity ``citests._bitset_path`` can send to the bitsets with a
+# partner of arity 2 or more: the fewest cells such a table has is 2 * a, at
+# level 0, and the rule takes no table of 16 * 3 = 48 cells or more there.
+# The bitsets of such a variable are no larger than its int32 codes.
+BITSET_MAX_ARITY = 23
 
 KIND_HINTS = ("auto", "continuous", "discrete")
 
@@ -146,7 +154,15 @@ class GaussianSuffStat:
 
 
 class DiscreteSuffStat:
-    """Integer-coded sample matrix plus per-variable arities."""
+    """Integer-coded sample matrix plus per-variable arities.
+
+    Next to the codes, each variable of arity at most ``BITSET_MAX_ARITY``
+    keeps one bitset per value: bit k of word w of row ``bit_rows[v] + c`` of
+    ``bitsets`` is set iff sample 64 * w + k of variable v holds code c.  The
+    bitsets take sum(a_v) * ceil(n / 64) uint64 words, no more than the int32
+    codes of the same variables; ``bit_rows[v]`` is -1 above that arity.
+    They are built once here and travel with the statistic to every worker.
+    """
 
     def __init__(self, codes: np.ndarray, arities: Sequence[int]):
         codes = np.asarray(codes, dtype=np.int64)
@@ -168,6 +184,7 @@ class DiscreteSuffStat:
         codes.setflags(write=False)
         self.codes = codes
         self.arities = arities
+        self.bit_rows, self.bitsets = _value_bitsets(codes, arities)
 
     @property
     def n(self) -> int:
@@ -179,6 +196,25 @@ class DiscreteSuffStat:
 
     def __repr__(self) -> str:
         return f"DiscreteSuffStat(p={self.p}, n={self.n})"
+
+
+def _value_bitsets(codes: np.ndarray, arities: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each variable's first bitset row (-1 above ``BITSET_MAX_ARITY``) and
+    the (rows, ceil(n / 64)) uint64 bitsets of its values; padding bits are 0."""
+    n = codes.shape[0]
+    kept = np.array([a if a <= BITSET_MAX_ARITY else 0 for a in arities], dtype=np.int64)
+    first = np.concatenate(([0], np.cumsum(kept)))
+    bitsets = np.zeros((int(first[-1]), -(-n // 64)), dtype=np.uint64)
+    packed = bitsets.view(np.uint8)
+    for v, a in enumerate(kept.tolist()):
+        if a:
+            onehot = codes[:, v] == np.arange(a)[:, None]
+            packed[first[v]:first[v] + a, :-(-n // 8)] = np.packbits(
+                onehot, axis=1, bitorder="little")
+    bit_rows = np.where(kept > 0, first[:-1], -1)
+    bit_rows.setflags(write=False)
+    bitsets.setflags(write=False)
+    return bit_rows, bitsets
 
 
 def _parse_cell(token: str, row: int, name: str) -> float:
@@ -221,10 +257,101 @@ def load_csv(path: str | Path, kind_hint: str = "auto") -> Dataset:
     values; discrete values are re-coded to a dense 0-based range in order
     of first appearance.  ``continuous`` and ``discrete`` force the kind
     for every column.
+
+    Two parsers give the same Dataset.  A body of plain numbers (ASCII
+    digits, ``.+-eE``, commas and line breaks, no empty line) is parsed by
+    ``np.loadtxt``, which rounds each cell as ``float()`` does, and a column
+    is integer iff its bytes hold no ``.``, ``e`` or ``E``, the only
+    characters of that alphabet ``int()`` rejects in a number ``float()``
+    accepts.  Any other text, any numpy error, a non-finite value or an
+    integer column reaching 2**53 (where floats stop telling integers apart)
+    goes to the cell-by-cell Python parser, the only source of error
+    messages.
     """
     if kind_hint not in KIND_HINTS:
         raise DatasetError(f"kind_hint must be one of {KIND_HINTS}, got '{kind_hint}'")
     text = read_text(path)
+    parsed = _parse_plain_numbers(text, kind_hint)
+    if parsed is None:
+        parsed = _parse_cells(path, text, kind_hint)
+    return Dataset(*parsed)
+
+
+# The bytes of a plain-number body, and those of them that int() rejects.
+_PLAIN_BYTE = np.zeros(256, dtype=bool)
+_PLAIN_BYTE[np.frombuffer(b"0123456789.+-eE,\r\n", dtype=np.uint8)] = True
+_FLOAT_BYTE = np.zeros(256, dtype=bool)
+_FLOAT_BYTE[np.frombuffer(b".eE", dtype=np.uint8)] = True
+
+_Parsed = tuple[np.ndarray, list[str], list[Kind]]
+
+
+def _parse_plain_numbers(text: str, kind_hint: str) -> _Parsed | None:
+    """(values, names, kinds) of a header plus a plain-number body parsed by
+    numpy, or None where ``_parse_cells`` must decide."""
+    first, _, body = text.partition("\n")
+    header = first[:-1] if first.endswith("\r") else first
+    # the header must be the first line under str.splitlines too, and the
+    # body's line breaks "\n" or "\r\n", with no empty line to skip
+    if (header.splitlines() != [header] or not body or body.count("\r") != body.count("\r\n")
+            or body.startswith(("\n", "\r\n")) or "\n\n" in body or "\n\r\n" in body):
+        return None
+    try:
+        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    if not _PLAIN_BYTE[raw].all():
+        return None
+    names = [h.strip() for h in header.split(",")]
+    p = len(names)
+    if p < 2:
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != p or not np.isfinite(values).all():
+        return None
+    if kind_hint == "continuous":
+        return values, names, [Continuous()] * p
+    integer = ~_float_columns(raw, p)
+    if kind_hint == "discrete" and not integer.all():
+        return None
+    if (np.maximum(values.max(axis=0), -values.min(axis=0))[integer] >= 2.0 ** 53).any():
+        return None
+    kinds: list[Kind] = []
+    for v in range(p):
+        if not integer[v]:
+            kinds.append(Continuous())
+            continue
+        distinct, first_row, code = np.unique(values[:, v], return_index=True,
+                                              return_inverse=True)
+        if kind_hint == "auto" and len(distinct) > AUTO_DISCRETE_MAX_LEVELS:
+            kinds.append(Continuous())
+            continue
+        rank = np.empty(len(distinct), dtype=np.int64)
+        rank[np.argsort(first_row)] = np.arange(len(distinct))
+        values[:, v] = rank[code]
+        kinds.append(Discrete(arity=len(distinct)))
+    return values, names, kinds
+
+
+def _float_columns(raw: np.ndarray, p: int) -> np.ndarray:
+    """Per column of a body that numpy parsed to p fields a line, whether
+    any of its cells holds a byte of ``_FLOAT_BYTE``."""
+    found = np.zeros(p, dtype=bool)
+    marks = np.flatnonzero(_FLOAT_BYTE[raw])
+    if marks.size:
+        commas = np.flatnonzero(raw == ord(","))
+        line_starts = np.concatenate(([0], np.flatnonzero(raw == ord("\n")) + 1))
+        line = np.searchsorted(line_starts, marks, side="right") - 1
+        found[np.searchsorted(commas, marks) - np.searchsorted(commas, line_starts[line])] = True
+    return found
+
+
+def _parse_cells(path: str | Path, text: str, kind_hint: str) -> _Parsed:
+    """(values, names, kinds) of any text, one Python call per cell; raises
+    DatasetError naming the first bad line, row or cell."""
     lines = [line for line in text.splitlines() if line != ""]
     if not lines:
         raise DatasetError(f"{path}: empty file")
@@ -271,7 +398,7 @@ def load_csv(path: str | Path, kind_hint: str = "auto") -> Dataset:
             kinds.append(Discrete(arity=len(seen)))
         else:
             kinds.append(Continuous())
-    return Dataset(values, names, kinds)
+    return values, names, kinds
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:

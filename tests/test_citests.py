@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import stablepc.citests as citests
 from oracles import (
     chi2_sf,
+    contingency_table,
     discrete_table_reference,
     fisher_p_highprec,
     gaussian_reference,
@@ -569,3 +571,135 @@ class TestBatchedPvalues:
             test = make_test(factory)
             got = test.pvalues(empty, empty, np.empty((0, 2), dtype=np.int64))
             assert got.shape == (0,)
+
+
+def uniform_stat(n, arity, p=7, seed=0):
+    codes = np.random.default_rng(seed).integers(0, arity, (n, p))
+    return DiscreteSuffStat(codes, [arity] * p)
+
+
+# The counting path of one row per (n, arity), level 0 to 4: "b" bitsets,
+# "k" radix keys and bincount, "r" ranked strata.  Every path appears, so a
+# moved crossover that leaves one uncovered fails here first.
+PINNED_PATHS = {
+    (30, 2): "kkkkk", (30, 3): "kkkkr", (30, 4): "kkkrr",
+    (100, 2): "bkkkk", (100, 3): "kkkkk", (100, 4): "kkkkr",
+    (500, 2): "bbbkk", (500, 3): "bkkkk", (500, 4): "kkkkk",
+    (4000, 2): "bbbbb", (4000, 3): "bbkkk", (4000, 4): "bkkkk",
+}
+
+
+class TestCountingPaths:
+    """Bitsets, bincount and ranked strata count the same tables."""
+
+    def test_paths_count_identical_tables(self):
+        # n = 24 with arities 2-4: sets of three or more variables have more
+        # strata than samples, so the ranked path has rows to count too
+        rng = np.random.default_rng(9)
+        arities = [2, 3, 2, 4, 3, 2, 1, 3]
+        stat = DiscreteSuffStat(np.column_stack([rng.integers(0, a, 24) for a in arities]),
+                                arities)
+        codes_t = stat.codes.T
+        ranked_rows = 0
+        for level in range(6):
+            for _ in range(12):
+                i, j, *s = rng.choice(len(arities), level + 2, replace=False).tolist()
+                i, j, s = min(i, j), max(i, j), sorted(s)
+                cols = np.array([*s, i, j])
+                shape = tuple(arities[v] for v in cols)
+                reference, _ = contingency_table(stat, i, j, tuple(s))
+                full = reference.reshape(-1)
+                bits = citests._bitset_counts(stat, cols[None], shape)[0]
+                keys = citests._bincount_counts(codes_t, cols[None],
+                                                np.array([shape], dtype=np.int32), full.size)[0]
+                assert np.array_equal(bits, full) and np.array_equal(keys, full)
+                key, count = citests._ranked_cell_keys(codes_t, stat.arities, cols, stat.n)
+                ranked = np.bincount(key, minlength=count * shape[-2] * shape[-1]).reshape(
+                    count, *shape[-2:])
+                # the ranks keep the strata in key order; empty ones may go
+                occupied = ranked.sum(axis=(1, 2)) > 0
+                assert np.array_equal(ranked[occupied],
+                                      reference[reference.sum(axis=(1, 2)) > 0])
+                ranked_rows += count < len(reference)
+                for pearson in (False, True):
+                    expected = discrete_table_reference(stat, i, j, s, pearson)[0]
+                    for counts in (bits.reshape(reference.shape), ranked):
+                        got = citests._table_statistics(counts, np.array([0, counts.size]),
+                                                        pearson)[0]
+                        assert got * (1.0 if pearson else 2.0) == expected
+        assert ranked_rows > 0
+
+    @pytest.mark.parametrize("factory", DISCRETE_TESTS)
+    @pytest.mark.parametrize("bitsets", [True, False])
+    @pytest.mark.parametrize("level", range(5))
+    def test_forced_path_matches_table_reference(self, monkeypatch, factory, bitsets, level):
+        # every table on one path, arity-1 columns and empty strata included;
+        # a call of one row has one exact shape, the only kind the bitsets
+        # take, and a call of mixed shapes counts on bincount
+        monkeypatch.setattr(citests, "_bitset_path", lambda *shape: bitsets)
+        stat = mixed_arity_stat(400 + level)
+        rng = np.random.default_rng(500 + level)
+        i, j, s = random_rows(rng, stat.p, level, 200)
+        pearson = factory is ChiSquaredTest
+        expected = [discrete_table_reference(stat, a, b, sub, pearson)[1]
+                    for a, b, sub in zip(i.tolist(), j.tolist(), s.tolist())]
+        test = factory(stat)
+        one_by_one = [test.pvalues(i[k:k + 1], j[k:k + 1], s[k:k + 1])[0] for k in range(len(i))]
+        assert np.array_equal(one_by_one, np.array(expected))
+        assert np.array_equal(test.pvalues(i, j, s), np.array(expected))
+
+    @pytest.mark.parametrize("n, arity", sorted(PINNED_PATHS))
+    def test_pinned_path(self, monkeypatch, n, arity):
+        seen = []
+        for name, label in (("_bitset_counts", "b"), ("_bincount_counts", "k"),
+                            ("_ranked_cell_keys", "r")):
+            real = getattr(citests, name)
+            monkeypatch.setattr(citests, name,
+                                lambda *args, real=real, label=label: seen.append(label)
+                                or real(*args))
+        test = GSquaredTest(uniform_stat(n, arity))
+        for level in range(5):
+            test.pvalues(np.array([0]), np.array([1]), np.arange(2, 2 + level)[None])
+        assert "".join(seen) == PINNED_PATHS[n, arity]
+
+    def test_pinned_paths_cover_every_path(self):
+        assert set("".join(PINNED_PATHS.values())) == set("bkr")
+
+    def test_arity_above_bitset_cap_counts_on_keys(self, monkeypatch):
+        # cells = 40 at level 1 would take the bitsets, but arity 40 has none
+        rng = np.random.default_rng(10)
+        codes = np.column_stack([rng.integers(0, 40, 4000), np.zeros((4000, 2), dtype=int),
+                                 rng.integers(0, 2, 4000)])
+        stat = DiscreteSuffStat(codes, [40, 1, 1, 2])
+        assert stat.bit_rows.tolist() == [-1, 0, 1, 2]
+        assert citests._bitset_path(40, 63, 3)
+        monkeypatch.setattr(citests, "_bitset_counts", None)
+        got = GSquaredTest(stat).pvalues(np.array([0]), np.array([1]), np.array([[2]]))
+        assert got[0] == discrete_table_reference(stat, 0, 1, [2], False)[1]
+
+    @pytest.mark.parametrize("words", [1, 63, 1 << 12, 1 << 18])
+    def test_bitset_cap_is_the_rule_s_reach(self, words):
+        # a table holding a variable of arity a and a partner of arity >= 2
+        # has at least 2 * a cells at level 0 and 2 ** (k + 1) * a at level k;
+        # above the cap no such table takes the bitsets, at any n
+        above = citests.BITSET_MAX_ARITY + 1
+        assert not any(citests._bitset_path(2 ** (k + 1) * above, words, k + 2)
+                       for k in range(8))
+        assert citests._bitset_path(2 * citests.BITSET_MAX_ARITY, 1 << 18, 2)
+
+    def test_bitset_scratch_bounded_by_chunk(self):
+        # 2000 level-1 rows hold 2000 * 27 cells of 63 words, 27 MB at once;
+        # counted a chunk at a time they stay within a few CHUNK_BYTES
+        rng = np.random.default_rng(11)
+        test = GSquaredTest(uniform_stat(4000, 3, p=8))
+        assert citests._bitset_path(27, 63, 3)
+        for level in (0, 1):
+            i, j, s = random_rows(rng, 8, level, 2000)
+            test.pvalues(i, j, s)                   # warm-up call, untraced
+            tracemalloc.start()
+            try:
+                test.pvalues(i, j, s)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * citests.CHUNK_BYTES + 200 * len(i)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablepc import (
     Continuous,
@@ -9,11 +10,13 @@ from stablepc import (
     DatasetError,
     DegenerateDataError,
     Discrete,
+    DiscreteSuffStat,
     discrete_suffstat,
     gaussian_suffstat,
     load_csv,
     write_csv,
 )
+from stablepc.data import BITSET_MAX_ARITY, KIND_HINTS, _parse_cells, _parse_plain_numbers
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -111,6 +114,112 @@ class TestLoadCsv:
         assert back.names == ds.names
 
 
+def parsed_or_message(text, kind_hint, fast):
+    """The Dataset's bytes, shape, kinds and names from the numpy parser
+    where it takes the text (if ``fast``), else from the Python parser; or
+    the DatasetError message."""
+    try:
+        parsed = fast and _parse_plain_numbers(text, kind_hint) or _parse_cells(
+            "data.csv", text, kind_hint)
+        ds = Dataset(*parsed)
+    except DatasetError as exc:
+        return str(exc)
+    return ds.values.tobytes(), ds.values.shape, ds.kinds, ds.names
+
+
+def assert_parsers_agree(text):
+    for hint in KIND_HINTS:
+        assert parsed_or_message(text, hint, True) == parsed_or_message(text, hint, False), hint
+
+
+# Cells around the numpy parser's edges: forms int() and float() read
+# differently, Python-only syntax, whitespace, comments, quotes, a form
+# feed (a line break to str.splitlines), an Arabic-Indic digit, integers
+# past 2**53 and values that overflow.
+HOSTILE_CELLS = ["1.0", "+3", "03", "-0", "1_0", " 7 ", "nan", "inf", "-inf", "#", "#1",
+                 '"1"', "'2'", "\x0c", "1\x0c2", "\u0661", str(2 ** 53 + 1), str(-2 ** 53),
+                 str(2 ** 53 - 1), "1e400", "1e-400", "1e5", "1E5", ".5", "5.", "e", "+", "-",
+                 "", "0x10", "1,5", "2.0e0", "007"]
+
+
+class TestNumpyParser:
+    """The numpy parser gives the Python parser's Dataset or leaves the text
+    to it, so messages come from the Python parser alone."""
+
+    @pytest.mark.parametrize("cell", HOSTILE_CELLS)
+    def test_hostile_cell(self, cell):
+        for column in ("1", "2.5", "4"):
+            assert_parsers_agree(f"a,b\n{cell},{column}\n3,{column}\n")
+            assert_parsers_agree(f"a,b\n0,1\n1,{cell}\n")
+
+    @pytest.mark.parametrize("text, fast", [
+        ("a,b\n1.0,2\n3,4\n", True),           # float token, integer value
+        ("a,b\n+3,03\n-0,0\n", True),          # int() reads them all
+        ("a,b\n1,2\r\n3,4\r\n", True),         # CRLF
+        ("a,b\r\n1,2\r\n3,4", True),            # CRLF header, no final break
+        ("a,b\n1,2\n\n3,4\n", False),          # blank line
+        ("a,b\n1,2\r3,4\n", False),             # bare CR
+        ("\na,b\n1,2\n", False),                # leading blank line
+        ("a,b\x0c\n1,2\n3,4\n", False),         # form feed ends the header line
+        ("a,b\n1,2\n3\n", False),               # ragged row
+        ("a\n1\n2\n", False),                   # one column
+        ("a,b\n", False),                        # no data row
+        ("a,b\n1,2,\n", False),                 # trailing comma
+        ("a,a\n1,2\n", True),                   # duplicate names: Dataset's error
+        (f"a,b\n{2 ** 53 + 1},1\n0,0\n", False),  # past 2**53 floats merge integers
+        ("x,y\n" + "".join(f"{k},{k % 3}\n" for k in range(40)), True),
+    ])
+    def test_fixed_cases(self, text, fast):
+        assert_parsers_agree(text)
+        assert (_parse_plain_numbers(text, "auto") is not None) == fast
+
+    def test_hint_rules_on_the_fast_path(self):
+        # integer past 2**53 is fine for continuous values; a float token
+        # under the discrete hint leaves the message to the Python parser
+        text = f"a,b\n{2 ** 53 + 1},0\n1,1\n"
+        assert _parse_plain_numbers(text, "continuous") is not None
+        assert _parse_plain_numbers("a,b\n1.0,0\n", "discrete") is None
+        assert_parsers_agree(text)
+
+    def test_codes_in_first_appearance_order(self):
+        text = "a,b,c\n5,-0,1e1\n3,0,2\n5,+7,1e1\n-1,7,3\n"
+        values, names, kinds = _parse_plain_numbers(text, "auto")
+        assert names == ["a", "b", "c"]
+        assert kinds == [Discrete(3), Discrete(2), Continuous()]
+        assert values[:, 0].tolist() == [0, 1, 0, 2]
+        assert values[:, 1].tolist() == [0, 0, 1, 1]
+        assert_parsers_agree(text)
+
+    def test_load_csv_reads_workload_sized_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, 3, (300, 6))
+        path = write(tmp_path, "a,b,c,d,e,f\n" + "\n".join(
+            ",".join(map(str, row)) for row in codes.tolist()) + "\n")
+        text = path.read_text(encoding="utf-8")
+        assert _parse_plain_numbers(text, "discrete") is not None
+        for hint in KIND_HINTS:
+            ds = load_csv(path, hint)
+            assert (ds.values.tobytes(), ds.values.shape, ds.kinds, ds.names) == \
+                parsed_or_message(text, hint, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parsers_agree_on_generated_text(self, data):
+        number = st.from_regex(r"[+-]?[0-9]{0,4}(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,3})?",
+                               fullmatch=True)
+        cell = st.one_of(number, st.sampled_from(HOSTILE_CELLS),
+                         st.text(alphabet="0123456789.+-eE ,#_\"'\x0c\u0661naif\r", max_size=5),
+                         st.integers(-40, 40).map(str))
+        p = data.draw(st.integers(1, 4))
+        header = ",".join(data.draw(st.lists(st.sampled_from(["a", "b", "c", " d", "e"]),
+                                             min_size=p, max_size=p)))
+        lines = [header] + [",".join(data.draw(st.lists(cell, min_size=p, max_size=p)))
+                            for _ in range(data.draw(st.integers(0, 5)))]
+        breaks = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\n\n", "\r", "\x0c"]),
+                                    min_size=len(lines), max_size=len(lines)))
+        assert_parsers_agree("".join(a + b for a, b in zip(lines, breaks)))
+
+
 class TestDataset:
     def test_discrete_codes_validated(self):
         with pytest.raises(DatasetError, match="codes outside"):
@@ -193,6 +302,23 @@ class TestDiscreteSuffStat:
         ds = Dataset(np.array([[0, 0], [1, 1], [2, 0.0]]),
                      ["a", "b"], [Discrete(3), Discrete(2)])
         assert discrete_suffstat(ds).arities[0] == 3
+
+    def test_bitsets_mark_each_value(self):
+        # 130 samples: three words, the last one padded with zero bits
+        rng = np.random.default_rng(4)
+        arities = [3, BITSET_MAX_ARITY + 1, 1, 2]
+        codes = np.column_stack([rng.integers(0, a, 130) for a in arities])
+        stat = DiscreteSuffStat(codes, arities)
+        assert stat.bit_rows.tolist() == [0, -1, 3, 4]
+        assert stat.bitsets.shape == (6, 3) and stat.bitsets.dtype == np.uint64
+        bits = np.unpackbits(stat.bitsets.view(np.uint8), axis=1, bitorder="little")
+        for v, a in enumerate(arities):
+            if a <= BITSET_MAX_ARITY:
+                rows = bits[stat.bit_rows[v]:stat.bit_rows[v] + a]
+                assert np.array_equal(rows[:, :130], codes[:, v] == np.arange(a)[:, None])
+                assert not rows[:, 130:].any()
+        assert stat.bitsets.nbytes <= 4 * 130 * (len(arities) - 1)   # the int32 codes
+        assert not stat.bitsets.flags.writeable
 
     def test_mixed_rejected_names_column(self):
         ds = Dataset(np.array([[0.5, 1.0], [1.5, 0.0]]), ["cont", "b"],

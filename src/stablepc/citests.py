@@ -17,13 +17,16 @@ statistic, p-value and dof out, NaN p for a degenerate set.  ``pvalues`` is
 that kernel on every row, and the scalar call is the kernel on one row, so
 the two forms agree bit for bit.  The G-squared and chi-squared tests count
 contingency tables on one of three paths: popcounts of ANDed per-value
-bitsets for tables small against n whose rows share their arities, one
-``bincount`` of cell keys per chunk of rows otherwise, and ranked strata for
-a row whose strata outnumber the samples.  All three give the same integer
-counts, so the statistic does not depend on the path.  A test's tables hold
-at most min(n, prod of the set's arities) * a_i * a_j cells, while its dof
-keeps the full arity product.  Every test reads the conditioning set in
-ascending order, so the set's order never changes an outcome.
+bitsets, laid out cell by cell, for tables of fewer than about a hundred
+cells whose rows share their arities; one ``bincount`` of narrow cell keys
+per chunk of rows otherwise; and ranked strata for a row whose strata
+outnumber the samples.  All three give the same integer counts, and each
+row's terms are summed as ``np.add.reduce`` sums them, a block of rows in
+one pass, so the statistic does not depend on the path or the batch.  A
+test's tables hold at most min(n, prod of the set's arities) * a_i * a_j
+cells, while its dof keeps the full arity product.  Every test reads the
+conditioning set in ascending order, so the set's order never changes an
+outcome.
 """
 
 from __future__ import annotations
@@ -44,13 +47,18 @@ ATANH_CLAMP = 1.0 - 1e-12
 
 TEST_IDS = ("fisher-z", "mi-g", "g-sq", "x-sq", "oracle")
 
-# The discrete kernel counts a chunk of rows at once.  A chunk's cell keys
-# (or its cells' bitsets) and its int64 counts each take at most
-# CHUNK_BYTES, unless one row alone takes more.  32 rows of n=4000 int32 keys
-# was fastest on a 2-core machine; 128 and 512 rows were slower.  Keys are
-# int32 for tables of fewer than 2**31 cells; a chunk of several rows then
-# spans at most CHUNK_BYTES / 8.
+# The discrete kernel counts a chunk of rows at once, and a chunk's scratch
+# is at most about CHUNK_BYTES, unless one row alone takes more.  On the bitsets a
+# chunk's cell bitsets take CHUNK_BYTES (12 rows of 81 cells at n = 4000,
+# the fastest size on a 2-core machine), its popcounts an eighth of that.
+# On radix keys a chunk's keys take CHUNK_BYTES as the int64 copy that
+# ``bincount`` reads (16 rows at n = 4000); the keys themselves are uint8,
+# uint16 or uint32, the first that holds the chunk's cells, int64 past that.
 CHUNK_BYTES = 1 << 19
+# The counts of a block of chunks take at most STATISTICS_BYTES, unless one
+# row alone takes more, and get one ``_table_statistics`` pass, whose
+# scratch is about nine times its counts.
+STATISTICS_BYTES = 1 << 16
 
 
 class DegenerateConditioningError(Exception):
@@ -242,9 +250,20 @@ class GaussianMiTest(_KernelTest):
         return g, _chi2_sfs(g, dof), dof
 
 
+_KEY_DTYPES = tuple((dtype, np.iinfo(dtype).max) for dtype in (np.uint8, np.uint16, np.uint32))
+
+
+def _key_dtype(top: int) -> type:
+    """The narrowest of uint8, uint16 and uint32 that holds ``top``, else int64."""
+    return next((dtype for dtype, most in _KEY_DTYPES if top <= most), np.int64)
+
+
 def _radix_keys(codes_t: np.ndarray, cols: np.ndarray, radix: np.ndarray) -> np.ndarray:
     """Per row of ``cols``, every sample's mixed-radix key over the row's
-    variables, most significant first, in ``radix``'s dtype."""
+    variables, most significant first, in ``radix``'s dtype.  No partial
+    key exceeds the final one, below the product of the row's arities, so a
+    dtype that holds that product keeps every key exact; an arity that
+    wraps to 0 in it leaves the others all 1, and so multiplies a zero key."""
     key = codes_t[cols[:, 0]].astype(radix.dtype, copy=False)
     for t in range(1, cols.shape[1]):
         key *= radix[:, t, None]
@@ -281,8 +300,7 @@ def _ranked_statistic(stat: DiscreteSuffStat, row: np.ndarray, ai: int, aj: int,
     """The statistic of one row [*s, i, j] counted on its ranked strata."""
     key, count = _ranked_cell_keys(stat.codes.T, stat.arities, row, stat.n)
     counts = np.bincount(key, minlength=count * ai * aj)
-    return _table_statistics(counts.reshape(count, ai, aj), np.array([0, counts.size]),
-                             pearson)[0]
+    return _table_statistics(counts.reshape(1, count, ai, aj), pearson)[0]
 
 
 def _table_shapes(radix: np.ndarray) -> Iterator[
@@ -291,7 +309,7 @@ def _table_shapes(radix: np.ndarray) -> Iterator[
     table shape of rows whose arities in radix order [*s, i, j] are
     ``radix``.  The product is an exact Python int; the arities are those of
     every row of the group when they are all the same, else None."""
-    if (radix == radix[0]).all():               # one shape, the common case
+    if len(radix) == 1 or (radix == radix[0]).all():    # one shape, the common case
         *set_arities, ai, aj = shape = radix[0].tolist()
         yield ai, aj, math.prod(set_arities), slice(None), tuple(shape)
         return
@@ -304,55 +322,86 @@ def _table_shapes(radix: np.ndarray) -> Iterator[
         yield ai, aj, strata, np.flatnonzero(np.isin(inverse, ids)), None
 
 
-def _table_statistics(counts: np.ndarray, bounds: np.ndarray, pearson: bool) -> np.ndarray:
+def _row_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of each row's terms, all rows in one call; row r
+    owns ``terms[starts[r]:starts[r + 1]]``, the last row the rest.
+
+    ``np.add.reduce`` starts from 0 and adds a run pairwise (in order below
+    8 terms, in 8 strided partial sums up to 128, in halves above), while
+    ``np.add.reduceat`` starts from a segment's first element and adds the
+    rest pairwise.  So each row's terms go into a segment led by a 0, and
+    the segment's reduction is the row's ``np.add.reduce`` bit for bit
+    (``TestRowSums`` pins it on the installed numpy).
+    """
+    leads = starts + np.arange(len(starts))
+    padded = np.zeros(len(terms) + len(starts))
+    slot = np.ones(len(padded), dtype=bool)
+    slot[leads] = False
+    padded[slot] = terms
+    return np.add.reduceat(padded, leads)
+
+
+def _axis_sum(counts: np.ndarray, axis: int) -> np.ndarray:
+    """``counts.sum(axis)`` as one add per index along a short axis, which
+    numpy runs faster than a reduction of a few elements per output."""
+    lead = (slice(None),) * axis
+    total = counts[lead + (0,)].copy()
+    for k in range(1, counts.shape[axis]):
+        total += counts[lead + (k,)]
+    return total
+
+
+def _table_statistics(counts: np.ndarray, pearson: bool) -> np.ndarray:
     """Sum of the G (or Pearson X^2) terms of each row's tables.
 
-    ``counts`` stacks the rows' (stratum, c_i, c_j) tables; row r owns flat
-    cells ``bounds[r]:bounds[r + 1]``.  A G term is taken over the observed
-    cells, a Pearson term over the cells with a positive expected count, both
-    in C order, so each row's terms are one contiguous slice, and summing
-    that slice (``np.add.reduce``, what ``np.sum`` runs) adds them exactly as
-    a one-row table would.  A padded row or ``np.add.reduceat`` would group
-    the additions differently.
+    ``counts`` holds each row's (stratum, c_i, c_j) tables.  A G term is
+    taken over the observed cells, a Pearson term over the cells with a
+    positive expected count, both in C order, and each row's terms are
+    summed as ``np.add.reduce`` (what ``np.sum`` runs) sums them alone, so
+    a row's statistic is that of its one-row table.  Only those cells take
+    scratch, so a sparse table costs little beyond its counts.
     """
-    _, ai, aj = counts.shape
-    rows = counts.sum(axis=2)
-    cols = counts.sum(axis=1)
-    totals = rows.sum(axis=1)
+    tables, strata, ai, aj = counts.shape
+    rows = _axis_sum(counts, 3)
+    cols = _axis_sum(counts, 2)
+    totals = _axis_sum(rows, 2)
     flat = counts.reshape(-1)
     if pearson:
-        cells = ((rows[:, :, None] > 0) & (cols[:, None, :] > 0)).reshape(-1).nonzero()[0]
+        cells = ((rows[..., None] > 0) & (cols[..., None, :] > 0)).reshape(-1).nonzero()[0]
     else:
         cells = flat.nonzero()[0]
-    row_cell = cells // aj                      # stratum * a_i + c_i
+    row_cell = cells // aj                      # (row * strata + stratum) * a_i + c_i
     stratum = row_cell // ai
     observed = flat[cells]
+    # true division of int64 arrays converts both sides to float64 first
     expected = (rows.reshape(-1)[row_cell] * cols.reshape(-1)[stratum * aj + cells % aj]
-                / totals[stratum].astype(float))
+                / totals.reshape(-1)[stratum])
     if pearson:
         terms = (observed - expected) ** 2 / expected
     else:
         terms = observed * np.log(observed / expected)
-    ends = np.searchsorted(cells, bounds).tolist()
-    return np.array([np.add.reduce(terms[a:b]) for a, b in zip(ends[:-1], ends[1:])])
+    if tables == 1:
+        return np.add.reduce(terms, keepdims=True)
+    return _row_sums(terms, np.searchsorted(cells, np.arange(0, flat.size, flat.size // tables)))
 
 
-def _bitset_path(cells: int, words: int, width: int) -> bool:
-    """Whether tables of ``cells`` cells over ``width`` = |s| + 2 variables
-    are counted on bitsets of ``words`` = ceil(n / 64) words.
+def _bitset_path(cells: int, words: int) -> bool:
+    """Whether tables of ``cells`` cells are counted on bitsets of ``words``
+    = ceil(n / 64) words.
 
-    Set from measurement on a 2-core machine over arities 2-7, levels 0-4
-    and n = 100-20000 (the ``crossover_sweep`` benchmark record).  Counting
-    on bitsets costs about cells * (words + 12) word operations: numpy runs
-    one inner loop of ``words`` per cell and pays about 12 words' worth to
-    start it.  Radix keys and ``bincount`` cost about
-    21 * words * (width + 1) of them, each word standing for 64 samples.
-    The rule stays below that break-even, 16 for 21 and 16 for 12, so every
-    size it sends to the bitsets measured faster there per row.  Above
-    2**18 words (n > 2**24) a float32 sum of popcounts could round, so those
-    tables never take the bitsets.
+    Set from measurement on a 2-core machine over arities 2-16, levels 0-5
+    and n = 100-20000 (``tools/crossover_sweep.py``, the ``crossover_sweep``
+    benchmark record).  Counting on bitsets costs about cells * (words + 12)
+    word operations a row: an AND, a popcount and a sum over each cell's
+    words, and a per-cell share of the table's other work.  Radix keys and
+    ``bincount`` cost about 100 of them per word of 64 samples, nearly all
+    in ``bincount``'s scattered increments; the narrow keys' gathers add
+    little per variable, so the set's size hardly moves the crossover.  The
+    rule is the best fit of that form, and no size it sends to the bitsets
+    measured slower there per row.  Above 2**18 words (n > 2**24) a float32
+    sum of popcounts could round, so those tables never take the bitsets.
     """
-    return words <= 1 << 18 and cells * (words + 16) < 16 * words * (width + 1)
+    return words <= 1 << 18 and cells * (words + 12) < 100 * words
 
 
 @lru_cache(maxsize=256)
@@ -360,7 +409,7 @@ def _value_index(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """For each value of each position of ``shape`` in turn: its position
     and its code, read-only, as every call with ``shape`` shares them."""
     index = (np.repeat(np.arange(len(shape)), shape),
-             np.concatenate([np.arange(a) for a in shape]))
+             np.concatenate([np.arange(a) for a in shape])[:, None])
     for array in index:
         array.setflags(write=False)
     return index
@@ -371,54 +420,75 @@ def _bitset_counts(stat: DiscreteSuffStat, cols: np.ndarray,
     """(rows, cells) counts of the rows ``cols`` [*s, i, j] whose variables
     all have the arities ``shape``, cells in radix order.
 
-    The bitsets of the first variable's values are ANDed with each next
-    variable's, so the last AND holds one bitset per cell, and a cell's count
+    Each position's value bitsets are gathered as one (arity, rows, words)
+    block.  The set's blocks are ANDed into one bitset per stratum, i's and
+    j's into one per (c_i, c_j) cell, and each stratum with each cell, so
+    every AND runs over a contiguous (rows, words) block.  A cell's count
     is the popcount of its bitset: the integer a ``bincount`` of the cell
     keys gives.  The popcounts are summed in float32, exactly, as every
     partial sum is at most n <= 2**24.
     """
     position, code = _value_index(shape)
-    values = stat.bitsets[stat.bit_rows[cols[:, position]] + code]
-    rows, _, words = values.shape
-    cell, end = values[:, :shape[0]], shape[0]
-    for a in shape[1:]:
-        cell = (cell[:, :, None] & values[:, None, end:end + a]).reshape(rows, -1, words)
+    values = stat.bitsets[stat.bit_rows[cols[:, position]].T + code]
+    _, rows, words = values.shape
+    *set_arities, ai, aj = shape
+    cell = (values[-ai - aj:-aj, None] & values[-aj:][None]).reshape(-1, rows, words)
+    strata, end = None, 0
+    for a in set_arities:
+        block = values[end:end + a]
+        strata = block if strata is None else \
+            (strata[:, None] & block[None]).reshape(-1, rows, words)
         end += a
-    return np.einsum("rcw->rc", np.bitwise_count(cell).astype(np.float32)).astype(np.int64)
+    if strata is not None:
+        cell = (strata[:, None] & cell[None]).reshape(-1, rows, words)
+    return np.einsum("crw->rc", np.bitwise_count(cell), dtype=np.float32).astype(np.int64)
 
 
 def _bincount_counts(codes_t: np.ndarray, cols: np.ndarray, radix: np.ndarray,
                      cells: int) -> np.ndarray:
-    """(rows, cells) counts of the rows ``cols`` [*s, i, j], cells in radix
-    order: every sample's cell key offset by its row's table base, and one
-    ``bincount``."""
-    key = _radix_keys(codes_t, cols, radix)
-    key += np.arange(0, len(key) * cells, cells, dtype=key.dtype)[:, None]
-    return np.bincount(key.reshape(-1), minlength=len(key) * cells).reshape(len(key), cells)
+    """(rows, cells) counts of the rows ``cols`` [*s, i, j], whose arities
+    are ``radix``, cells in radix order: every sample's cell key offset by
+    its row's table base, in the narrowest dtype that holds them all, and
+    one ``bincount``."""
+    top = len(cols) * cells
+    dtype = _key_dtype(top - 1)
+    key = _radix_keys(codes_t, cols, radix.astype(dtype))
+    key += np.arange(0, top, cells, dtype=dtype)[:, None]
+    return np.bincount(key.reshape(-1), minlength=top).reshape(len(cols), cells)
 
 
-def _group_counts(stat: DiscreteSuffStat, radix: np.ndarray, cols: np.ndarray, cells: int,
-                  shape: tuple[int, ...] | None) -> Iterator[tuple[slice, np.ndarray]]:
-    """(row positions, their (rows, cells) counts) a chunk at a time, over
-    the rows ``cols`` [*s, i, j] of one table shape, whose variables have
-    the arities ``radix``, all of them ``shape`` unless that is None.
-    Where every row has the same arities and ``_bitset_path`` picks the
-    bitsets, rows are counted on them; else on radix keys and ``bincount``."""
+def _group_statistics(stat: DiscreteSuffStat, radix: np.ndarray, cols: np.ndarray,
+                      table: tuple[int, int, int], shape: tuple[int, ...] | None,
+                      pearson: bool) -> np.ndarray:
+    """The statistic of each row of ``cols`` [*s, i, j], rows of one table
+    shape ``table`` = (strata, a_i, a_j), whose variables have the arities
+    ``radix``, all of them ``shape`` unless that is None.
+
+    Rows are counted a chunk at a time: on bitsets where every row has the
+    same arities and ``_bitset_path`` picks them, else on radix keys and
+    ``bincount``.  The counts of a block of whole chunks then take one
+    ``_table_statistics`` pass.
+    """
+    strata, ai, aj = table
+    cells = strata * ai * aj
     words = stat.bitsets.shape[1]
-    if (shape is not None and max(shape) <= BITSET_MAX_ARITY
-            and _bitset_path(cells, words, cols.shape[1])):
-        step = max(1, CHUNK_BYTES // (8 * cells * words))
-        for start in range(0, len(cols), step):
-            part = slice(start, start + step)
-            yield part, _bitset_counts(stat, cols[part], shape)
-        return
-    radix = radix.astype(np.int32 if cells < 1 << 31 else np.int64)
-    step = max(1, min(CHUNK_BYTES // (max(stat.n, 1) * radix.itemsize),
-                      CHUNK_BYTES // (8 * cells)))
-    codes_t = stat.codes.T                      # one variable's codes per row
-    for start in range(0, len(cols), step):
-        part = slice(start, start + step)
-        yield part, _bincount_counts(codes_t, cols[part], radix[part], cells)
+    bits = shape is not None and max(shape) <= BITSET_MAX_ARITY and _bitset_path(cells, words)
+    block = max(1, STATISTICS_BYTES // (8 * cells))
+    step = min(block, max(1, CHUNK_BYTES // (8 * (cells * words if bits else max(stat.n, cells)))))
+    block -= block % step
+
+    def count(start: int, stop: int) -> np.ndarray:
+        if bits:
+            return _bitset_counts(stat, cols[start:stop], shape)
+        return _bincount_counts(stat.codes.T, cols[start:stop], radix[start:stop], cells)
+
+    out = np.empty(len(cols))
+    for start in range(0, len(cols), block):
+        stop = min(start + block, len(cols))
+        parts = [count(at, min(at + step, stop)) for at in range(start, stop, step)]
+        counts = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out[start:stop] = _table_statistics(counts.reshape(-1, strata, ai, aj), pearson)
+    return out
 
 
 def _discrete_outcomes(stat: DiscreteSuffStat, rows: np.ndarray,
@@ -429,7 +499,7 @@ def _discrete_outcomes(stat: DiscreteSuffStat, rows: np.ndarray,
     A row's tables are its i-by-j contingency tables per stratum, a stratum
     being a joint configuration of s; the cell of a sample is
     (stratum * a_i + c_i) * a_j + c_j.  Rows are grouped by table shape and
-    counted a chunk at a time on one of three paths (``_group_counts``):
+    counted a chunk at a time on one of three paths (``_group_statistics``):
     where tables are small against n (``_bitset_path``) and the group's rows
     share their arities, by ANDing the variables' per-value bitsets and
     popcounting; otherwise by one ``bincount`` of the cell keys of a chunk's
@@ -443,7 +513,7 @@ def _discrete_outcomes(stat: DiscreteSuffStat, rows: np.ndarray,
     """
     n = stat.n
     cols = np.concatenate((rows[:, 2:], rows[:, :2]), axis=1)  # radix order
-    radix = np.asarray(stat.arities)[cols]
+    radix = stat.arity_array[cols]
     statistic = np.empty(len(rows))
     dof = np.empty(len(rows))
     for ai, aj, strata, members, shape in _table_shapes(radix):
@@ -451,13 +521,9 @@ def _discrete_outcomes(stat: DiscreteSuffStat, rows: np.ndarray,
         group = cols[members]
         if strata > n:
             statistic[members] = [_ranked_statistic(stat, row, ai, aj, pearson) for row in group]
-            continue
-        cells = strata * ai * aj
-        for part, counts in _group_counts(stat, radix[members], group, cells, shape):
-            bounds = np.arange(len(counts) + 1) * cells
-            # a slice for members is every row, so part indexes the rows directly
-            statistic[part if isinstance(members, slice) else members[part]] = \
-                _table_statistics(counts.reshape(-1, ai, aj), bounds, pearson)
+        else:
+            statistic[members] = _group_statistics(stat, radix[members], group,
+                                                   (strata, ai, aj), shape, pearson)
     if not pearson:
         statistic *= 2.0
     return statistic, _chi2_sfs(statistic, dof), dof

@@ -24,11 +24,16 @@ AUTO_DISCRETE_MAX_LEVELS = 32
 # Discrete variables of at most this arity also keep per-value bitsets.  It is
 # the largest arity ``citests._bitset_path`` can send to the bitsets with a
 # partner of arity 2 or more: the fewest cells such a table has is 2 * a, at
-# level 0, and the rule takes no table of 16 * 3 = 48 cells or more there.
-# The bitsets of such a variable are no larger than its int32 codes.
-BITSET_MAX_ARITY = 23
+# level 0, and the rule takes no table of 100 cells or more at any n.  Such a
+# variable's bitsets and uint8 codes take at most 49 / 8 + 1 bytes a sample.
+BITSET_MAX_ARITY = 49
 
 KIND_HINTS = ("auto", "continuous", "discrete")
+
+# Integer columns are recoded a block of columns at a time, a block holding
+# about this many values, so that the recode's scratch (some ten arrays the
+# size of the block, about 1.3 MiB) stays below what parsing the text takes.
+RECODE_VALUES = 1 << 14
 
 
 class DatasetError(ValueError):
@@ -177,13 +182,17 @@ class DiscreteSuffStat:
             col = codes[:, v]
             if col.size and (col.min() < 0 or col.max() >= a):
                 raise ValueError(f"codes of column {v} outside [0, {a})")
-        # One column-contiguous copy: a variable's samples are one contiguous
-        # row of ``codes.T``, and int32 codes build int32 table keys.
-        codes = np.array(codes, dtype=np.int32 if max(arities, default=1) <= 1 << 31
-                         else np.int64, order="F")
+        # One column-contiguous copy in the narrowest dtype that holds every
+        # code: a variable's samples are one contiguous row of ``codes.T``,
+        # and narrow codes make narrow table keys cheap to gather.
+        top = max(arities, default=1) - 1
+        codes = np.array(codes, order="F", dtype=next(
+            t for t in (np.uint8, np.uint16, np.int32, np.int64) if top <= np.iinfo(t).max))
         codes.setflags(write=False)
         self.codes = codes
         self.arities = arities
+        self.arity_array = np.array(arities, dtype=np.int64)
+        self.arity_array.setflags(write=False)
         self.bit_rows, self.bitsets = _value_bitsets(codes, arities)
 
     @property
@@ -319,21 +328,48 @@ def _parse_plain_numbers(text: str, kind_hint: str) -> _Parsed | None:
         return None
     if (np.maximum(values.max(axis=0), -values.min(axis=0))[integer] >= 2.0 ** 53).any():
         return None
-    kinds: list[Kind] = []
-    for v in range(p):
-        if not integer[v]:
-            kinds.append(Continuous())
-            continue
-        distinct, first_row, code = np.unique(values[:, v], return_index=True,
-                                              return_inverse=True)
-        if kind_hint == "auto" and len(distinct) > AUTO_DISCRETE_MAX_LEVELS:
-            kinds.append(Continuous())
-            continue
-        rank = np.empty(len(distinct), dtype=np.int64)
-        rank[np.argsort(first_row)] = np.arange(len(distinct))
-        values[:, v] = rank[code]
-        kinds.append(Discrete(arity=len(distinct)))
+    kinds: list[Kind] = [Continuous()] * p
+    candidates = np.flatnonzero(integer)
+    step = max(1, RECODE_VALUES // len(values))
+    for start in range(0, len(candidates), step):
+        columns = candidates[start:start + step]
+        codes, levels = _first_appearance_codes(values.T[columns])
+        if kind_hint == "auto":
+            kept = levels <= AUTO_DISCRETE_MAX_LEVELS
+            columns, codes, levels = columns[kept], codes[kept], levels[kept]
+        values[:, columns] = codes.T
+        for v, arity in zip(columns.tolist(), levels.tolist()):
+            kinds[v] = Discrete(arity=arity)
     return values, names, kinds
+
+
+def _first_appearance_codes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``block`` (a column's integer values each, at least one):
+    every value's rank in the order of first appearance, and the row's count
+    of distinct values, all rows at once.
+
+    A stable sort of each row puts a value's first appearance first among
+    its equals (rows spanning fewer than 2**16 values are sorted as uint16
+    offsets, which numpy radix-sorts).  Those first appearances, ordered by
+    position, give each value its rank, and every run of equal values in
+    the sorted row takes the rank of its head.
+    """
+    rows, n = block.shape
+    offsets = block - block.min(axis=1, keepdims=True)
+    keys = offsets.astype(np.uint16) if offsets.max() < 1 << 16 else block
+    order = np.argsort(keys, axis=1, kind="stable")
+    order += np.arange(rows)[:, None] * n                   # flat positions
+    ordered = keys.reshape(-1)[order]
+    head = np.ones((rows, n), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=head[:, 1:])
+    heads = np.flatnonzero(head)            # where each value's run begins
+    first = order.reshape(-1)[heads]        # and where the value first appears
+    by_position = np.sort(first)
+    rank = np.searchsorted(by_position, first)
+    rank -= np.searchsorted(by_position, first - first % n)    # the row's first
+    codes = np.empty(rows * n, dtype=np.int64)
+    codes[order.reshape(-1)] = np.repeat(rank, np.diff(heads, append=rows * n))
+    return codes.reshape(rows, n), head.sum(axis=1)
 
 
 def _float_columns(raw: np.ndarray, p: int) -> np.ndarray:

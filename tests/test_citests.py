@@ -582,36 +582,47 @@ def uniform_stat(n, arity, p=7, seed=0):
 # "k" radix keys and bincount, "r" ranked strata.  Every path appears, so a
 # moved crossover that leaves one uncovered fails here first.
 PINNED_PATHS = {
-    (30, 2): "kkkkk", (30, 3): "kkkkr", (30, 4): "kkkrr",
-    (100, 2): "bkkkk", (100, 3): "kkkkk", (100, 4): "kkkkr",
-    (500, 2): "bbbkk", (500, 3): "bkkkk", (500, 4): "kkkkk",
-    (4000, 2): "bbbbb", (4000, 3): "bbkkk", (4000, 4): "bkkkk",
+    (30, 2): "bkkkk", (30, 3): "kkkkr", (30, 4): "kkkrr",
+    (100, 2): "bbkkk", (100, 3): "bkkkk", (100, 4): "kkkkr",
+    (500, 2): "bbbbk", (500, 3): "bbkkk", (500, 4): "bkkkk",
+    (4000, 2): "bbbbb", (4000, 3): "bbbkk", (4000, 4): "bbkkk",
 }
+
+
+def canonical_cols(rng, arities, level):
+    """One random row [*s, i, j] in radix order (i < j, s ascending)."""
+    i, j, *s = rng.choice(len(arities), level + 2, replace=False).tolist()
+    return np.array([*sorted(s), min(i, j), max(i, j)])
 
 
 class TestCountingPaths:
     """Bitsets, bincount and ranked strata count the same tables."""
 
     def test_paths_count_identical_tables(self):
-        # n = 24 with arities 2-4: sets of three or more variables have more
-        # strata than samples, so the ranked path has rows to count too
-        rng = np.random.default_rng(9)
+        # arities 1-4; n = 24 fills less than one word, so sets of three or
+        # more variables have more strata than samples and the ranked path
+        # has rows to count too; n = 130 and 1000 leave padding bits in the
+        # last word
+        for n in (24, 130, 1000):
+            self.check_paths_on(n)
+
+    def check_paths_on(self, n):
+        rng = np.random.default_rng(9 + n)
         arities = [2, 3, 2, 4, 3, 2, 1, 3]
-        stat = DiscreteSuffStat(np.column_stack([rng.integers(0, a, 24) for a in arities]),
+        stat = DiscreteSuffStat(np.column_stack([rng.integers(0, a, n) for a in arities]),
                                 arities)
         codes_t = stat.codes.T
         ranked_rows = 0
         for level in range(6):
             for _ in range(12):
-                i, j, *s = rng.choice(len(arities), level + 2, replace=False).tolist()
-                i, j, s = min(i, j), max(i, j), sorted(s)
-                cols = np.array([*s, i, j])
+                cols = canonical_cols(rng, arities, level)
+                *s, i, j = cols.tolist()
                 shape = tuple(arities[v] for v in cols)
                 reference, _ = contingency_table(stat, i, j, tuple(s))
                 full = reference.reshape(-1)
                 bits = citests._bitset_counts(stat, cols[None], shape)[0]
-                keys = citests._bincount_counts(codes_t, cols[None],
-                                                np.array([shape], dtype=np.int32), full.size)[0]
+                keys = citests._bincount_counts(codes_t, cols[None], np.array([shape]),
+                                                full.size)[0]
                 assert np.array_equal(bits, full) and np.array_equal(keys, full)
                 key, count = citests._ranked_cell_keys(codes_t, stat.arities, cols, stat.n)
                 ranked = np.bincount(key, minlength=count * shape[-2] * shape[-1]).reshape(
@@ -624,10 +635,57 @@ class TestCountingPaths:
                 for pearson in (False, True):
                     expected = discrete_table_reference(stat, i, j, s, pearson)[0]
                     for counts in (bits.reshape(reference.shape), ranked):
-                        got = citests._table_statistics(counts, np.array([0, counts.size]),
-                                                        pearson)[0]
+                        got = citests._table_statistics(counts[None], pearson)[0]
                         assert got * (1.0 if pearson else 2.0) == expected
-        assert ranked_rows > 0
+        assert ranked_rows > 0 or n > 24
+
+    @pytest.mark.parametrize("n", [24, 130, 1000])
+    def test_chunk_of_rows_counts_each_row_alone(self, n):
+        # many rows of one shape counted together, in the cell-major blocks
+        # of the bitsets and behind the row offsets of the narrow keys, give
+        # each row the table it has alone; the shapes hold arity-1 columns
+        rng = np.random.default_rng(12 + n)
+        arities = [3, 1, 3, 2, 3, 1, 3, 2]
+        stat = DiscreteSuffStat(np.column_stack([rng.integers(0, a, n) for a in arities]),
+                                arities)
+        by_shape: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for level in range(4):
+            for _ in range(150):
+                cols = canonical_cols(rng, arities, level)
+                by_shape.setdefault(tuple(arities[v] for v in cols), []).append(cols)
+        tested = 0
+        for shape, rows in by_shape.items():
+            if len(rows) < 2:
+                continue
+            cols = np.array(rows)
+            cells = math.prod(shape)
+            expected = np.array([contingency_table(stat, c[-2], c[-1], tuple(c[:-2]))[0]
+                                 .reshape(-1) for c in cols.tolist()])
+            bits = citests._bitset_counts(stat, cols, shape)
+            keys = citests._bincount_counts(stat.codes.T, cols,
+                                            np.array(shape)[None].repeat(len(cols), 0), cells)
+            assert np.array_equal(bits, expected) and np.array_equal(keys, expected)
+            tested += 1
+        assert tested >= 10 and any(1 in shape for shape in by_shape)
+
+    def test_narrow_keys_wrap_back_exact(self):
+        # keys up to 255 are uint8, one row of 256 cells; its arity of 256
+        # wraps to 0 in uint8 and multiplies the arity-1 column's zero key
+        assert citests._key_dtype(255) is np.uint8
+        assert citests._key_dtype(256) is np.uint16
+        assert citests._key_dtype(2 ** 32) is np.int64
+        rng = np.random.default_rng(15)
+        codes = np.column_stack([np.zeros(300, dtype=int), rng.integers(0, 256, 300),
+                                 rng.integers(0, 2, 300)])
+        stat = DiscreteSuffStat(codes, [1, 256, 2])
+        assert stat.codes.dtype == np.uint8
+        for cols, shape in (([0, 1], (1, 256)), ([1, 0, 2], (256, 1, 2))):
+            cols = np.array([cols])
+            keys = citests._bincount_counts(stat.codes.T, cols, np.array([shape]),
+                                            math.prod(shape))
+            *s, i, j = cols[0].tolist()
+            assert np.array_equal(keys[0], contingency_table(stat, i, j, tuple(s))[0]
+                                  .reshape(-1))
 
     @pytest.mark.parametrize("factory", DISCRETE_TESTS)
     @pytest.mark.parametrize("bitsets", [True, False])
@@ -636,7 +694,7 @@ class TestCountingPaths:
         # every table on one path, arity-1 columns and empty strata included;
         # a call of one row has one exact shape, the only kind the bitsets
         # take, and a call of mixed shapes counts on bincount
-        monkeypatch.setattr(citests, "_bitset_path", lambda *shape: bitsets)
+        monkeypatch.setattr(citests, "_bitset_path", lambda *size: bitsets)
         stat = mixed_arity_stat(400 + level)
         rng = np.random.default_rng(500 + level)
         i, j, s = random_rows(rng, stat.p, level, 200)
@@ -666,13 +724,13 @@ class TestCountingPaths:
         assert set("".join(PINNED_PATHS.values())) == set("bkr")
 
     def test_arity_above_bitset_cap_counts_on_keys(self, monkeypatch):
-        # cells = 40 at level 1 would take the bitsets, but arity 40 has none
+        # cells = 60 at level 1 would take the bitsets, but arity 60 has none
         rng = np.random.default_rng(10)
-        codes = np.column_stack([rng.integers(0, 40, 4000), np.zeros((4000, 2), dtype=int),
+        codes = np.column_stack([rng.integers(0, 60, 4000), np.zeros((4000, 2), dtype=int),
                                  rng.integers(0, 2, 4000)])
-        stat = DiscreteSuffStat(codes, [40, 1, 1, 2])
+        stat = DiscreteSuffStat(codes, [60, 1, 1, 2])
         assert stat.bit_rows.tolist() == [-1, 0, 1, 2]
-        assert citests._bitset_path(40, 63, 3)
+        assert citests._bitset_path(60, 63)
         monkeypatch.setattr(citests, "_bitset_counts", None)
         got = GSquaredTest(stat).pvalues(np.array([0]), np.array([1]), np.array([[2]]))
         assert got[0] == discrete_table_reference(stat, 0, 1, [2], False)[1]
@@ -680,26 +738,95 @@ class TestCountingPaths:
     @pytest.mark.parametrize("words", [1, 63, 1 << 12, 1 << 18])
     def test_bitset_cap_is_the_rule_s_reach(self, words):
         # a table holding a variable of arity a and a partner of arity >= 2
-        # has at least 2 * a cells at level 0 and 2 ** (k + 1) * a at level k;
-        # above the cap no such table takes the bitsets, at any n
+        # has at least 2 * a cells, the fewest at level 0, and the rule takes
+        # fewer cells only; above the cap no such table takes the bitsets,
+        # at any n
         above = citests.BITSET_MAX_ARITY + 1
-        assert not any(citests._bitset_path(2 ** (k + 1) * above, words, k + 2)
-                       for k in range(8))
-        assert citests._bitset_path(2 * citests.BITSET_MAX_ARITY, 1 << 18, 2)
+        assert not citests._bitset_path(2 * above, words)
+        assert citests._bitset_path(2 * citests.BITSET_MAX_ARITY, 1 << 18)
+        assert not citests._bitset_path(4, (1 << 18) + 1)
 
-    def test_bitset_scratch_bounded_by_chunk(self):
-        # 2000 level-1 rows hold 2000 * 27 cells of 63 words, 27 MB at once;
-        # counted a chunk at a time they stay within a few CHUNK_BYTES
+    def test_bitset_scratch_bounded_by_chunk(self, monkeypatch):
+        # 2000 level-2 rows hold 2000 * 81 cells of 63 words, 82 MB of cell
+        # bitsets, 32 MB of keys, 1.3 MB of counts, and their statistics
+        # take about nine times their counts; counted a chunk at a time and
+        # summed a block at a time, they stay within a few CHUNK_BYTES on
+        # either path, levels 0-2
         rng = np.random.default_rng(11)
         test = GSquaredTest(uniform_stat(4000, 3, p=8))
-        assert citests._bitset_path(27, 63, 3)
-        for level in (0, 1):
-            i, j, s = random_rows(rng, 8, level, 2000)
-            test.pvalues(i, j, s)                   # warm-up call, untraced
+        for bitsets in (True, False):
+            monkeypatch.setattr(citests, "_bitset_path", lambda *size: bitsets)
+            for level in (0, 1, 2):
+                i, j, s = random_rows(rng, 8, level, 2000)
+                test.pvalues(i, j, s)                   # warm-up call, untraced
+                tracemalloc.start()
+                try:
+                    test.pvalues(i, j, s)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 3 * citests.CHUNK_BYTES + 200 * len(i), (bitsets, level)
+
+    def test_statistics_block_bounded(self):
+        # one statistics pass over a block of dense tables takes about nine
+        # times the block's counts, and a block's counts take STATISTICS_BYTES
+        rng = np.random.default_rng(16)
+        rows = citests.STATISTICS_BYTES // (8 * 81)
+        counts = rng.multinomial(4000, np.full(81, 1 / 81), size=rows).reshape(rows, 9, 3, 3)
+        for pearson in (False, True):
+            citests._table_statistics(counts, pearson)
             tracemalloc.start()
             try:
-                test.pvalues(i, j, s)
+                citests._table_statistics(counts, pearson)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * citests.CHUNK_BYTES + 200 * len(i)
+            assert counts.nbytes <= citests.STATISTICS_BYTES
+            assert peak <= 10 * citests.STATISTICS_BYTES <= 2 * citests.CHUNK_BYTES
+
+
+class TestRowSums:
+    """Each row's statistic adds its terms as ``np.add.reduce`` adds them."""
+
+    def test_segments_reduce_like_add_reduce(self):
+        # runs of 0 to 300 terms cross numpy's pairwise cut-offs at 8 and
+        # 128; the two long ones cross its 8192-element buffer
+        rng = np.random.default_rng(13)
+        lengths = np.concatenate((rng.permutation(301), [9000, 20000]))
+        terms = rng.standard_normal(lengths.sum()) * 10.0 ** rng.uniform(-3, 3, lengths.sum())
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        got = citests._row_sums(terms, starts)
+        expected = [np.add.reduce(terms[a:a + m]) for a, m in zip(starts, lengths)]
+        assert np.array_equal(got, expected)
+        # the order matters: adding each run in order would differ
+        assert any(np.cumsum(terms[a:a + m])[-1] != e
+                   for a, m, e in zip(starts, lengths, expected) if m)
+
+    @pytest.mark.parametrize("pearson", [False, True])
+    def test_statistic_adds_its_compacted_terms(self, pearson):
+        # one call of 301 rows whose tables hold 0 to 300 observed cells:
+        # each row's statistic is np.add.reduce of its terms in C order,
+        # the terms of a row computed here one stratum at a time
+        rng = np.random.default_rng(14)
+        strata, ai, aj = 4, 4, 20
+        counts = np.zeros((301, strata * ai * aj), dtype=np.int64)
+        for row, observed in enumerate(rng.permutation(301).tolist()):
+            counts[row, rng.choice(counts.shape[1], observed, replace=False)] = \
+                rng.integers(1, 50, observed)
+        counts = counts.reshape(301, strata, ai, aj)
+        got = citests._table_statistics(counts, pearson)
+        lengths = []
+        for row, tables in enumerate(counts):
+            terms = []
+            for table in tables:
+                total = table.sum()
+                if total == 0:
+                    continue
+                expected = table.sum(axis=1)[:, None] * table.sum(axis=0)[None, :] / total
+                keep = expected > 0 if pearson else table > 0
+                o, e = table[keep], expected[keep]
+                terms.append((o - e) ** 2 / e if pearson else o * np.log(o / e))
+            terms = np.concatenate(terms) if terms else np.empty(0)
+            lengths.append(len(terms))
+            assert got[row] == np.add.reduce(terms)
+        assert min(lengths) < 8 and max(lengths) > 128

@@ -16,7 +16,8 @@ from stablepc import (
     load_csv,
     write_csv,
 )
-from stablepc.data import BITSET_MAX_ARITY, KIND_HINTS, _parse_cells, _parse_plain_numbers
+from stablepc.data import (AUTO_DISCRETE_MAX_LEVELS, BITSET_MAX_ARITY, KIND_HINTS, _parse_cells,
+                           _parse_plain_numbers)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -190,6 +191,21 @@ class TestNumpyParser:
         assert values[:, 1].tolist() == [0, 0, 1, 1]
         assert_parsers_agree(text)
 
+    @pytest.mark.parametrize("span", [3, 40, 70_000, 2 ** 52])
+    def test_recode_matches_cell_parser(self, span):
+        # every integer column recoded at once: a few levels, one past the
+        # auto cut, a constant column, negative values, spans past 2**16
+        # (sorted as floats) and one row
+        rng = np.random.default_rng(span % 997)
+        levels = [3, 2, AUTO_DISCRETE_MAX_LEVELS + 1, 1, AUTO_DISCRETE_MAX_LEVELS]
+        columns = [rng.choice(rng.integers(-span, span, a), 200) for a in levels]
+        columns[1] = rng.choice([-span, span - 1], 200)
+        rows = np.column_stack(columns).tolist()
+        for count in (200, 1):
+            text = "a,b,c,d,e\n" + "".join(",".join(map(str, r)) + "\n" for r in rows[:count])
+            assert _parse_plain_numbers(text, "auto") is not None
+            assert_parsers_agree(text)
+
     def test_load_csv_reads_workload_sized_file(self, tmp_path):
         rng = np.random.default_rng(3)
         codes = rng.integers(0, 3, (300, 6))
@@ -317,7 +333,8 @@ class TestDiscreteSuffStat:
                 rows = bits[stat.bit_rows[v]:stat.bit_rows[v] + a]
                 assert np.array_equal(rows[:, :130], codes[:, v] == np.arange(a)[:, None])
                 assert not rows[:, 130:].any()
-        assert stat.bitsets.nbytes <= 4 * 130 * (len(arities) - 1)   # the int32 codes
+        assert stat.bitsets.nbytes <= 4 * 130 * (len(arities) - 1)   # int32 codes' size
+        assert stat.codes.dtype == np.uint8
         assert not stat.bitsets.flags.writeable
 
     def test_mixed_rejected_names_column(self):

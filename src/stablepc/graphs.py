@@ -182,13 +182,13 @@ class SepsetMap:
     compares both records.
 
     The first-found sets live in arrays, with no object per pair, and take
-    memory in proportion to the pairs recorded.  Each write keeps its pairs'
-    codes ``i << 32 | j`` (i < j) and its (m, size) array of sets; ``set``
-    is a one-row ``set_many``.  The first read after a write joins them to
-    the table: each pair's latest set, codes ascending, the members of all
-    sets one after another.  Reads look pairs up by ``searchsorted``.  The
-    search records are a dict: the search covers only the pairs that share
-    a neighbour in the final skeleton.
+    memory in proportion to the pairs recorded.  Each write (``set_many``)
+    keeps its pairs' codes ``i << 32 | j`` (i < j) and its (m, size) array
+    of sets.  The first read after a write joins them to the table: each
+    pair's latest set, codes ascending, the members of all sets one after
+    another.  Reads look pairs up by ``searchsorted``.  The search records
+    are a dict: the search covers only the pairs that share a neighbour in
+    the final skeleton.
     """
 
     def __init__(self) -> None:
@@ -240,17 +240,13 @@ class SepsetMap:
         found[found] = codes[rows[found]] == wanted[found]
         return np.where(found, rows, -1)
 
-    def set(self, i: int, j: int, sepset: Iterable[int]) -> None:
-        s = [int(v) for v in sepset]
-        self.set_many(np.array([[i, j]]), np.array(s, dtype=np.int64).reshape(1, len(s)))
-
     def set_many(self, pairs: np.ndarray, sepsets: np.ndarray) -> None:
         """Record one set per row: ``sepsets[k]`` for the pair ``pairs[k]``.
 
         ``pairs`` is an (m, 2) array of distinct pairs and ``sepsets`` an
-        (m, size) array, one level's removals.  Equivalent to ``set`` on
-        each row in turn; a pair named twice raises ``GraphError`` and
-        leaves the map as it was.
+        (m, size) array, one level's removals.  A later write of a pair
+        replaces its set; a pair named twice in one call raises
+        ``GraphError`` and leaves the map as it was.
         """
         pairs, sepsets = np.asarray(pairs), np.asarray(sepsets)
         if (pairs.ndim != 2 or pairs.shape[1] != 2 or sepsets.ndim != 2

@@ -85,16 +85,14 @@ class SkeletonConfig:
     """Knobs for the skeleton search and its executor.
 
     ``mem_budget_bytes`` bounds the bytes of the tasks in flight between
-    merge barriers; None puts each level in one batch.  ``force_batch_size``
-    overrides the planner with a fixed batch size; it exists so equivalence
-    across batch partitions can be verified directly.
+    merge barriers and is the one batching input; None puts each level in
+    one batch, and 1 byte dispatches one task per worker at a time.
     """
 
     alpha: float = 0.01
     max_level: int | None = None
     num_workers: int = 1
     mem_budget_bytes: int | None = None
-    force_batch_size: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -105,8 +103,6 @@ class SkeletonConfig:
             raise ValueError("max_level must be nonnegative")
         if self.mem_budget_bytes is not None and self.mem_budget_bytes < 1:
             raise ValueError("mem_budget_bytes must be positive")
-        if self.force_batch_size is not None and self.force_batch_size < 1:
-            raise ValueError("force_batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -364,21 +360,17 @@ def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
 
     Without a byte budget everything goes into one batch.  With one, the
     batch size is the worker count times the per-worker task count that
-    fits the budget.
+    fits the budget, at least one task per worker.
     """
     if per_task_cost <= 0:
         raise ValueError("per_task_cost must be positive")
     n = len(tasks)
     if n == 0:
         return ()
-    if cfg.force_batch_size is not None:
-        size = min(cfg.force_batch_size, n)
-    elif cfg.mem_budget_bytes is None:
+    if cfg.mem_budget_bytes is None:
         return (tasks,)
-    else:
-        per_worker = cfg.mem_budget_bytes // (per_task_cost * cfg.num_workers)
-        per_worker = max(1, min(per_worker, n))
-        size = min(per_worker * cfg.num_workers, n)
+    workers = cfg.num_workers
+    size = workers * max(1, cfg.mem_budget_bytes // (per_task_cost * workers))
     return tuple(tasks[k:k + size] for k in range(0, n, size))
 
 

@@ -44,7 +44,6 @@ from stablepc import (
     skeleton_stable,
 )
 from stablepc.cli import random_weighted_dag, run
-from stablepc.skeleton import DEFAULT_MEM_BUDGET_BYTES
 
 
 @contextmanager
@@ -79,25 +78,29 @@ def pipeline(suff, test, p, cfg):
 
 
 WORKER_COUNTS = (1, 2, 4, 8)
-MEM_MODES = (False, True)
-BATCH_SIZES = (1, 7, None)  # None = everything in one batch
+# None = each level in one batch; 1 byte = one task per worker per batch, the
+# finest partition; 16 KiB splits level 0 into many batches of a size that
+# changes from level to level, with an uneven last batch
+MEM_BUDGETS = (None, 1, 16 * 1024)
 
 
 def sweep_equal(suff, test, p):
     reference = pipeline(suff, test, p, SkeletonConfig(num_workers=1))
+    unbatched = reference[3].peak_tasks_in_flight
     for workers in WORKER_COUNTS:
-        for mem in MEM_MODES:
-            for batch in BATCH_SIZES:
-                cfg = SkeletonConfig(
-                    num_workers=workers, force_batch_size=batch,
-                    mem_budget_bytes=DEFAULT_MEM_BUDGET_BYTES if mem else None)
-                graph, seps, cpdag, _ = pipeline(suff, test, p, cfg)
-                assert np.array_equal(graph.adj, reference[0].adj), \
-                    f"skeleton differs at workers={workers} mem={mem} batch={batch}"
-                assert seps == reference[1], \
-                    f"sepsets differ at workers={workers} mem={mem} batch={batch}"
-                assert np.array_equal(cpdag.mark, reference[2].mark), \
-                    f"CPDAG differs at workers={workers} mem={mem} batch={batch}"
+        for budget in MEM_BUDGETS:
+            cfg = SkeletonConfig(num_workers=workers, mem_budget_bytes=budget)
+            graph, seps, cpdag, stats = pipeline(suff, test, p, cfg)
+            assert np.array_equal(graph.adj, reference[0].adj), \
+                f"skeleton differs at workers={workers} budget={budget}"
+            assert seps == reference[1], \
+                f"sepsets differ at workers={workers} budget={budget}"
+            assert np.array_equal(cpdag.mark, reference[2].mark), \
+                f"CPDAG differs at workers={workers} budget={budget}"
+            if budget is not None:
+                # a budget that splits no level would leave this sweep inert
+                assert stats.peak_tasks_in_flight < unbatched, \
+                    f"budget {budget} splits nothing at workers={workers}"
 
 
 def test_criterion_1_parallel_equivalence():

@@ -95,10 +95,15 @@ class TestCpdag:
         assert g.edge_records() == [[0, 1, "--"], [0, 2, "--"], [2, 1, "->"]]
 
 
+def record(seps, i, j, sepset):
+    """Record one pair's set as a one-row ``set_many``."""
+    seps.set_many(np.array([[i, j]]), np.array([sepset], dtype=np.int64))
+
+
 class TestSepsetMap:
     def test_set_get(self):
         m = SepsetMap()
-        m.set(3, 1, [2])
+        record(m, 3, 1, [2])
         assert m.get(1, 3) == (2,)
         assert m.get(3, 1) == (2,) and m.get(1, 2) is None
         assert m.pair_array().tolist() == [[1, 3]]
@@ -106,11 +111,11 @@ class TestSepsetMap:
     def test_rejects_pair_in_set(self):
         m = SepsetMap()
         with pytest.raises(GraphError):
-            m.set(0, 1, [1])
+            record(m, 0, 1, [1])
 
     def test_json_shape(self):
         m = SepsetMap()
-        m.set(0, 2, [1])
+        record(m, 0, 2, [1])
         assert m.to_json_dict() == {"0,2": [1]}
 
 
@@ -129,19 +134,19 @@ def random_removals(p, count, rng):
 
 def filled_maps(p, count, seed):
     """The same removals recorded pair by pair, in bulk per set size, and
-    mixed: bulk adds of some sizes with single ``set`` calls in between."""
+    mixed: bulk adds of some sizes with one-row writes in between."""
     pairs, sets = random_removals(p, count, np.random.default_rng(seed))
     sizes = np.array([len(s) for s in sets])
     single, bulk, mixed = SepsetMap(), SepsetMap(), SepsetMap()
     for (i, j), s in zip(pairs.tolist(), sets):
-        single.set(j, i, s.tolist())
+        record(single, j, i, s.tolist())
     for size in range(4):
         rows = np.flatnonzero(sizes == size)
         chosen = np.array([sets[k] for k in rows], dtype=np.int64).reshape(len(rows), size)
         bulk.set_many(pairs[rows], chosen)
         if size % 2:
             for k in rows.tolist():
-                mixed.set(*pairs[k].tolist(), sets[k].tolist())
+                record(mixed, *pairs[k].tolist(), sets[k].tolist())
         else:
             mixed.set_many(pairs[rows][:, ::-1], chosen)
     return single, bulk, mixed
@@ -179,7 +184,7 @@ class TestSepsetMapArrays:
     def test_later_write_wins(self):
         m = SepsetMap()
         m.set_many(np.array([[0, 3], [1, 2]]), np.array([[1], [3]]))
-        m.set(3, 0, [2])
+        record(m, 3, 0, [2])
         m.set_many(np.array([[2, 1]]), np.array([[0]]))
         assert m.get(0, 3) == (2,) and m.get(1, 2) == (0,)
         assert len(m) == 2 and m.pair_array().tolist() == [[0, 3], [1, 2]]
@@ -188,18 +193,18 @@ class TestSepsetMapArrays:
     def test_memory_follows_pairs_not_indices(self):
         # a dense p x p index would need exabytes for these two pairs
         m = SepsetMap()
-        m.set(1, 50000, ())
-        m.set(2**31 - 1, 2, [5])
+        record(m, 1, 50000, ())
+        record(m, 2**31 - 1, 2, [5])
         assert m.pair_array().tolist() == [[1, 50000], [2, 2**31 - 1]]
         assert m.get(2, 2**31 - 1) == (5,) and m.get(1, 50000) == ()
         # (0, 2**32 + 50000) would share the code of (1, 50000)
         assert m.get(0, 2**32 + 50000) is None
         with pytest.raises(GraphError):
-            m.set(0, 2**31, ())
+            record(m, 0, 2**31, ())
 
     def test_set_many_rejects_bad_rows_and_keeps_the_map(self):
         m = SepsetMap()
-        m.set(0, 1, [2])
+        record(m, 0, 1, [2])
         before = m.to_json_dict()
         for pairs, sets in (([[0, 1], [1, 0]], [[2], [3]]),     # a pair twice
                             ([[2, 3]], [[3]]),                  # set holds the pair

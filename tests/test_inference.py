@@ -28,6 +28,7 @@ from stablepc import (
 )
 from stablepc.cli import random_weighted_dag
 from stablepc.inference import _solve_normal_equations
+from stablepc.skeleton import estimate_task_cost
 
 
 def undirected(p, edges):
@@ -125,8 +126,10 @@ class TestPcSimple:
         stat = GaussianSuffStat(np.eye(6), 200)
         from stablepc import FisherZTest
         whole = pc_simple(stat, FisherZTest(stat), 0, 0.01, SkeletonConfig())
+        # a budget of two level-0 tasks
+        budget = 2 * estimate_task_cost(0, stat)
         batched = pc_simple(stat, FisherZTest(stat), 0, 0.01,
-                            SkeletonConfig(force_batch_size=2))
+                            SkeletonConfig(mem_budget_bytes=budget))
         assert (whole.peak_tasks_in_flight, batched.peak_tasks_in_flight) == (5, 2)
         assert whole == batched
         assert "peak_tasks_in_flight" not in whole.to_json_dict()

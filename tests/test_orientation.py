@@ -20,6 +20,11 @@ from stablepc import (
 )
 
 
+def record(seps, i, j, sepset):
+    """Record one pair's set as a one-row ``set_many``."""
+    seps.set_many(np.array([[i, j]]), np.array([sepset], dtype=np.int64))
+
+
 def skeleton_with(p, edges):
     g = SkeletonGraph(p)
     for i, j in edges:
@@ -31,14 +36,14 @@ class TestOrientVStructures:
     def test_collider_detected(self):
         skel = skeleton_with(3, [(0, 2), (1, 2)])
         seps = SepsetMap()
-        seps.set(0, 1, [])
+        record(seps, 0, 1, [])
         g = orient_v_structures(skel, seps)
         assert {(0, 2), (1, 2)} <= set(g.directed_edges())
 
     def test_chain_not_oriented(self):
         skel = skeleton_with(3, [(0, 1), (1, 2)])
         seps = SepsetMap()
-        seps.set(0, 2, [1])
+        record(seps, 0, 2, [1])
         g = orient_v_structures(skel, seps)
         assert {(0, 1), (1, 2)} <= set(g.undirected_edges())
 
@@ -50,7 +55,7 @@ class TestOrientVStructures:
     def test_sepset_for_present_edge_rejected(self):
         skel = complete_graph(3)
         seps = SepsetMap()
-        seps.set(0, 1, [])
+        record(seps, 0, 1, [])
         with pytest.raises(GraphError, match="present edge"):
             orient_v_structures(skel, seps)
 
@@ -66,9 +71,9 @@ class TestOrientVStructures:
         # conflicting edge stays undirected, the uncontested arrows stand.
         skel = skeleton_with(4, [(0, 1), (1, 2), (0, 3)])
         seps = SepsetMap()
-        seps.set(0, 2, [])
-        seps.set(1, 3, [])
-        seps.set(2, 3, [0, 1])
+        record(seps, 0, 2, [])
+        record(seps, 1, 3, [])
+        record(seps, 2, 3, [0, 1])
         g = orient_v_structures(skel, seps)
         assert (0, 1) in g.undirected_edges()
         assert (3, 0) in g.directed_edges()
@@ -81,7 +86,7 @@ class TestMajorityRule:
     def orient(self, searched, first=(2,)):
         skel = skeleton_with(5, [(0, 2), (1, 2)])
         seps = SepsetMap()
-        seps.set(0, 1, first)
+        record(seps, 0, 1, first)
         if searched is not None:
             seps.set_search(0, 1, searched)
         return orient_v_structures(skel, seps)

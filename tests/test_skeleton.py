@@ -24,7 +24,6 @@ from stablepc import skeleton
 from stablepc.cli import random_weighted_dag
 from stablepc.inference import linear_sem_sample
 from stablepc.skeleton import (
-    DEFAULT_MEM_BUDGET_BYTES,
     DISCRETE_TABLE_CELL,
     GAUSSIAN_TASK_BASE,
     GAUSSIAN_TASK_CELL,
@@ -36,6 +35,10 @@ from stablepc.skeleton import (
     run_level,
     stable_levels,
 )
+
+# byte budgets: each level in one batch; one task per worker per batch; and
+# batches of a few dozen tasks at level 0 that shrink as tasks grow
+MEM_BUDGETS = (None, 1, 16 * 1024)
 
 
 def gaussian_case(seed, p=12, n=300, density=0.2):
@@ -192,11 +195,6 @@ class TestPlanBatches:
         plan = plan_batches(self.small_tasks(10), cfg, 10 ** 9)
         assert [len(b) for b in plan] == [3, 3, 3, 1]
 
-    def test_forced_batch_size_overrides(self):
-        cfg = SkeletonConfig(force_batch_size=7)
-        plan = plan_batches(self.small_tasks(20), cfg, 64)
-        assert [len(b) for b in plan] == [7, 7, 6]
-
     def test_empty_tasks(self):
         assert plan_batches([], SkeletonConfig(), 64) == ()
 
@@ -346,8 +344,8 @@ class TestBatchedPath:
         assert sum(s.degenerate for s in reference[2].levels) > 0
         assert reference[2].search_tests > 0
         for workers in (1, 2):
-            for batch in (1, 7, None):
-                cfg = SkeletonConfig(num_workers=workers, force_batch_size=batch)
+            for budget in MEM_BUDGETS:
+                cfg = SkeletonConfig(num_workers=workers, mem_budget_bytes=budget)
                 for test in (FisherZTest(suff), _ScalarOnly(FisherZTest(suff))):
                     adj, seps, stats = run_outputs(suff, test, suff.p, cfg)
                     assert np.array_equal(adj, reference[0])
@@ -390,8 +388,8 @@ class TestBatchedPath:
                                   SkeletonConfig())
             assert reference.members
             for workers in (1, 2):
-                for batch in (1, 7, None):
-                    cfg = SkeletonConfig(num_workers=workers, force_batch_size=batch)
+                for budget in MEM_BUDGETS:
+                    cfg = SkeletonConfig(num_workers=workers, mem_budget_bytes=budget)
                     for test in (FisherZTest(suff), _ScalarOnly(FisherZTest(suff))):
                         got = pc_simple(suff, test, target, 0.01, cfg)
                         assert got == reference
@@ -436,17 +434,13 @@ class TestSkeletonStable:
         reference = run_outputs(suff, FisherZTest(suff), suff.p,
                                 SkeletonConfig(num_workers=1))
         for workers in (2, 4):
-            for mem in (False, True):
-                for batch in (1, 7, None):
-                    cfg = SkeletonConfig(
-                        num_workers=workers, force_batch_size=batch,
-                        mem_budget_bytes=DEFAULT_MEM_BUDGET_BYTES if mem else None)
-                    adj, seps, stats = run_outputs(suff, FisherZTest(suff),
-                                                   suff.p, cfg)
-                    assert np.array_equal(adj, reference[0])
-                    assert seps == reference[1]
-                    assert [(s.tests, s.removals) for s in stats.levels] == \
-                        [(s.tests, s.removals) for s in reference[2].levels]
+            for budget in MEM_BUDGETS:
+                cfg = SkeletonConfig(num_workers=workers, mem_budget_bytes=budget)
+                adj, seps, stats = run_outputs(suff, FisherZTest(suff), suff.p, cfg)
+                assert np.array_equal(adj, reference[0])
+                assert seps == reference[1]
+                assert [(s.tests, s.removals) for s in stats.levels] == \
+                    [(s.tests, s.removals) for s in reference[2].levels]
 
     def test_level_edges_match_a_full_scan(self):
         # each level's edges, taken from the previous level's survivors, are
@@ -493,8 +487,8 @@ class TestSkeletonStable:
                     if reference[1].get_search(*pair) is not None]
         assert searched and reference[2].search_tests > 0
         for workers in (1, 2):
-            for batch in (1, 3, None):
-                cfg = SkeletonConfig(num_workers=workers, force_batch_size=batch)
+            for budget in MEM_BUDGETS:
+                cfg = SkeletonConfig(num_workers=workers, mem_budget_bytes=budget)
                 _, seps, stats = run_outputs(suff, FisherZTest(suff), suff.p, cfg)
                 assert [seps.get_search(*pair) for pair in searched] == \
                     [reference[1].get_search(*pair) for pair in searched]
@@ -544,7 +538,8 @@ class TestSkeletonStable:
         suff = gaussian_case(4, p=10)
         _, _, unbatched = skeleton_stable(suff, FisherZTest(suff), 10,
                                           SkeletonConfig())
-        cfg = SkeletonConfig(mem_budget_bytes=DEFAULT_MEM_BUDGET_BYTES, force_batch_size=5)
+        # five level-0 tasks fit the budget; every later task costs more
+        cfg = SkeletonConfig(mem_budget_bytes=5 * estimate_task_cost(0, suff))
         _, _, batched = skeleton_stable(suff, FisherZTest(suff), 10, cfg)
         assert unbatched.peak_tasks_in_flight == 45
         assert batched.peak_tasks_in_flight == 5

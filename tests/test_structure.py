@@ -7,7 +7,8 @@ underscore name is that module's own business.  Dunder names such as
 its ``__all__`` exports, so a half-removed export cannot stay.  Every public
 function, class and method is called from the package itself or from the
 benchmark, or is exported: a def that only tests call is not the package's
-API.
+API.  A method counts as called only through an attribute or a string, so a
+builtin or a local of the same name cannot hide a dead one.
 """
 
 import ast
@@ -67,49 +68,61 @@ def public_defs(source: str) -> list[tuple[int, str]]:
 
 
 def referenced_names(source: str) -> set[str]:
-    """Names that ``source`` reads: identifiers, attribute names and string
-    constants, since ``getattr(test, "pvalues")`` calls ``pvalues`` too."""
+    """Names that ``source`` reads: an identifier as ``name``, an attribute
+    name or a string constant as ``.name``, since ``getattr(test, "pvalues")``
+    calls ``pvalues`` too.  A method is only ever called as ``.name``; a bare
+    ``name`` may be a builtin or a local that shares it."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names.add(f".{node.attr}")
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+            names.add(f".{node.value}")
     return names
 
 
 def uncalled_defs(sources: dict[str, str], callers: set[str],
                   exported: set[str]) -> list[str]:
     """"file:line: name" of each public def in ``sources`` (file name to
-    text) that no module but ``__init__.py`` references, whose name is not
-    in ``callers`` and that, if at module level, is not in ``exported``."""
+    text) that no module but ``__init__.py`` references, that ``callers``
+    (names as ``referenced_names`` gives them) does not hold and that, if at
+    module level, is not in ``exported``.  A method counts as referenced
+    only as an attribute or a string, a module-level def also by its bare
+    name."""
     used = set(callers)
     for file, source in sources.items():
         if file != "__init__.py":
             used |= referenced_names(source)
+
+    def called(name: str) -> bool:
+        owner, _, attr = name.rpartition(".")
+        return f".{attr}" in used or (not owner and attr in used)
+
     return [f"{file}:{line}: {name}"
             for file, source in sorted(sources.items())
             for line, name in public_defs(source)
-            if name.rpartition(".")[2] not in used and name not in exported]
+            if not called(name) and name not in exported]
 
 
 def test_detector_flags_uncalled_defs():
+    # the call of the builtin set() calls no method Box.set
     sources = {
         "a.py": ("class Box:\n"
                  "    def open(self): pass\n"
                  "    def shut(self): pass\n"
+                 "    def set(self): pass\n"
                  "    def __len__(self): return 0\n"
                  "    def _peek(self): pass\n"
                  "def lonely(): pass\n"
                  "def probe(): pass\n"
                  "def named(): pass\n"),
-        "b.py": "Box().open()\nx = getattr(Box(), 'named')\n",
+        "b.py": "Box().open()\nx = getattr(Box(), 'named')\nseen = set()\n",
         "__init__.py": "from .a import shut, lonely\n__all__ = ['shut', 'lonely']\n",
     }
     assert uncalled_defs(sources, {"probe"}, {"Box", "shut", "lonely"}) == \
-        ["a.py:3: Box.shut"]
+        ["a.py:3: Box.shut", "a.py:4: Box.set"]
 
 
 def test_every_public_def_is_called_or_exported():

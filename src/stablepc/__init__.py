@@ -3,7 +3,7 @@
 The skeleton search is the order-independent (stable) variant: all edge
 removals of one conditioning-set level apply together at level end, so CI
 tests within a level can run on any number of workers, in memory-bounded
-batches, and still produce results identical to the sequential run.
+slices, and still produce results identical to the sequential run.
 """
 
 from .citests import (

@@ -117,7 +117,7 @@ class RunConfig:
                         mem_efficient: bool | None = None) -> SkeletonConfig:
         """The engine's config for one run.
 
-        ``--mem-efficient`` or a given ``--mem-budget`` turns batching on,
+        ``--mem-efficient`` or a given ``--mem-budget`` sets a byte budget,
         unless ``mem_efficient`` says otherwise.  The byte budget is
         ``--mem-budget``, or for ``auto`` the free memory probed here, once;
         without either (or when the probe finds nothing) it is
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--num-workers", type=int)
         sp.add_argument("--mem-efficient", action="store_true")
         sp.add_argument("--mem-budget", type=_byte_count_or_text,
-                        help="batching byte budget, or 'auto' to probe free memory")
+                        help="slicing byte budget, or 'auto' to probe free memory")
         sp.add_argument("--max-level", type=int)
         return sp
 

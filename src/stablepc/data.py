@@ -86,7 +86,9 @@ class Dataset:
         if len(names) != p or len(kinds) != p:
             raise DatasetError("names/kinds length must match the column count")
         if len(set(names)) != p:
-            raise DatasetError("variable names must be unique")
+            v = next(v for v, name in enumerate(names) if name in names[:v])
+            raise DatasetError(f"variable names must be unique; '{names[v]}' is columns "
+                               f"{names.index(names[v]) + 1} and {v + 1}")
         if not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
             raise DatasetError(
@@ -283,7 +285,10 @@ def load_csv(path: str | Path, kind_hint: str = "auto") -> Dataset:
     parsed = _parse_plain_numbers(text, kind_hint)
     if parsed is None:
         parsed = _parse_cells(path, text, kind_hint)
-    return Dataset(*parsed)
+    try:
+        return Dataset(*parsed)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 # The bytes of a plain-number body, and those of them that int() rejects.

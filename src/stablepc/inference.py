@@ -37,7 +37,7 @@ class PcSimpleResult:
     ``p_values`` maps each member to the largest p-value observed over all
     of its conditioning sets (every one of them is at most alpha, else the
     member would have been removed).  ``peak_tasks_in_flight`` is the
-    largest batch the run dispatched; like a wall time it describes the
+    most tasks the run had in flight at once; like a wall time it describes the
     schedule, so equality and the JSON form leave it out.
     """
 

@@ -9,11 +9,11 @@ what it yields; ``inference.pc_simple`` runs it on a star around its target.
 
 One level engine, ``run_level``, evaluates the tasks of a level on a
 ``LevelExecutor``, which holds the run's ``SkeletonConfig`` (workers, alpha,
-batching) and CI test.  A task is one row of an integer array, and the row
+byte budget) and CI test.  A task is one row of an integer array, and the row
 together with the level's shared snapshot fixes everything that determines
 its outcome: a module-level ``decide(shared, rows, test, alpha)`` function,
 which decides a block of rows, reads nothing else.  So any worker count and
-any batch partition produce results identical to the sequential run.  The
+any slicing produce results identical to the sequential run.  The
 engine has two ``decide`` functions: ``decide_edges`` for the levels and
 ``_search_pairs`` for the separating-set search after the last level.
 
@@ -27,10 +27,11 @@ comparison.  The search evaluates all sets of one size of a block's pairs
 together.  A test without ``pvalues`` is called once per set through
 ``_scalar_pvalues``, in the same rounds.
 
-Batching bounds how many tasks are dispatched at once so a run on a
-memory-constrained machine does not hold the whole level in flight while
-waiting for the merge barrier.  Batch boundaries never influence results,
-only scheduling.
+A level's rows are cut into contiguous slices, one per worker, or smaller
+under a byte budget so a run on a memory-constrained machine does not hold
+the whole level in flight.  Each worker takes the next slice as soon as it
+replies, so the level end is the only barrier.  Slice boundaries never
+influence results, only scheduling.
 
 After the last level, the separating-set search on the final skeleton
 records, for every non-adjacent pair that shares a neighbour, every accepting
@@ -48,8 +49,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
-from multiprocessing.connection import Connection
+from itertools import chain, combinations, islice
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,15 +61,15 @@ from .graphs import SepsetMap, SkeletonGraph, complete_graph
 
 DEFAULT_MEM_BUDGET_BYTES = 512 * 1024 * 1024
 
-# Per-task scratch estimates, fixed by rough measurement and frozen: the
-# planner only shapes batch boundaries, never results.
+# Per-task scratch estimates, fixed by rough measurement and frozen: they
+# only shape slice boundaries, never results.
 GAUSSIAN_TASK_BASE = 512       # task + decision bookkeeping
 GAUSSIAN_TASK_CELL = 48        # submatrix entry + inverse + factorization scratch
 DISCRETE_TASK_BASE = 512
 DISCRETE_TABLE_CELL = 16       # int64 count plus the kernel's scratch per table cell
 # Most task rows one ``decide`` call receives, and most sets one ``pvalues``
 # call receives.  It caps a block's per-row state (a set generator per edge)
-# and the stacked submatrices of a call, whatever the batch size or the
+# and the stacked submatrices of a call, whatever the slice size or the
 # separating-set search's set count.
 MAX_BLOCK_ROWS = 1 << 12
 # How long closing an executor waits for an idle worker to exit before it
@@ -84,9 +85,9 @@ class LevelExecutionError(RuntimeError):
 class SkeletonConfig:
     """Knobs for the skeleton search and its executor.
 
-    ``mem_budget_bytes`` bounds the bytes of the tasks in flight between
-    merge barriers and is the one batching input; None puts each level in
-    one batch, and 1 byte dispatches one task per worker at a time.
+    ``mem_budget_bytes`` bounds the bytes of the tasks in flight at once and
+    is the one slicing input; None gives each worker one slice of a level,
+    and 1 byte slices of one task.
     """
 
     alpha: float = 0.01
@@ -121,7 +122,7 @@ class LevelStat:
 
 @dataclass(frozen=True)
 class LevelStats:
-    """Per-level counters plus the peak dispatch size of the whole run.
+    """Per-level counters plus the most task rows in flight at once in the run.
 
     ``wall_ms`` is measured wall time, the one field that varies between
     otherwise identical runs.  ``search_tests`` counts the CI tests of the
@@ -332,7 +333,7 @@ def probe_free_memory() -> int | None:
 
 
 def estimate_task_cost(level: int, suff: object) -> int:
-    """Deterministic per-task memory estimate in bytes for batch planning.
+    """Deterministic per-task memory estimate in bytes for slicing a level.
 
     Gaussian tasks scale with the (level+2)-square submatrix.  Discrete
     tasks scale with the cells of the largest table a test can build: the
@@ -354,26 +355,6 @@ def estimate_task_cost(level: int, suff: object) -> int:
     return GAUSSIAN_TASK_BASE + GAUSSIAN_TASK_CELL * side * side
 
 
-def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
-                 per_task_cost: int) -> tuple[Sequence, ...]:
-    """Partition a level's task rows into contiguous, non-empty batches.
-
-    Without a byte budget everything goes into one batch.  With one, the
-    batch size is the worker count times the per-worker task count that
-    fits the budget, at least one task per worker.
-    """
-    if per_task_cost <= 0:
-        raise ValueError("per_task_cost must be positive")
-    n = len(tasks)
-    if n == 0:
-        return ()
-    if cfg.mem_budget_bytes is None:
-        return (tasks,)
-    workers = cfg.num_workers
-    size = workers * max(1, cfg.mem_budget_bytes // (per_task_cost * workers))
-    return tuple(tasks[k:k + size] for k in range(0, n, size))
-
-
 # ---------------------------------------------------------------------------
 # Worker-side machinery.  One set of worker processes per engine run, each
 # bound to the CI test and alpha when it starts and talking to the executor
@@ -381,8 +362,8 @@ def plan_batches(tasks: Sequence, cfg: SkeletonConfig,
 # ``(decide, rows, shared)``: the client's module-level decide function
 # (pickled by reference), a contiguous block of the integer task rows
 # (``_packed``) and the level's shared snapshot, sent only when it differs
-# from the one the worker last received, so a level's batches after the
-# first carry rows alone.  A worker replies ``(True, blocks)``, the columns
+# from the one the worker last received, so a worker's later slices of a
+# level carry rows alone.  A worker replies ``(True, blocks)``, the columns
 # of each block of the slice as ``_packed`` lists, or ``(False, error)``
 # when the slice raised.
 
@@ -435,14 +416,15 @@ def _worker_loop(conn: Connection, test: CiTest, alpha: float) -> None:
 
 
 class LevelExecutor:
-    """Fork-join worker pool bound to one run's config and CI test.
+    """Worker pool bound to one run's config and CI test.
 
     Lazily starts its ``cfg.num_workers`` worker processes on the first
     parallel dispatch, so sequential runs never fork.  Each instance owns
     its workers; concurrent engine runs on distinct inputs use distinct
-    executors.  A dispatch sends each worker one slice down its pipe and
-    waits for every reply, with no queue or thread in between.  It also
-    keeps the largest batch ``run_level`` dispatched through it.
+    executors.  A dispatch sends each idle worker the next slice down its
+    pipe as soon as it replies, with no queue or thread in between, and
+    returns when every slice is back.  It also keeps the most task rows
+    ``run_level`` had in flight through it at once.
     """
 
     def __init__(self, cfg: SkeletonConfig, test: CiTest):
@@ -450,8 +432,8 @@ class LevelExecutor:
         self.test = test
         self.peak_tasks_in_flight = 0
         self._workers: list[tuple[multiprocessing.Process, Connection]] = []
-        # the shared snapshot each worker holds
-        self._shared: list[object] = []
+        # the shared snapshot each worker holds, by its pipe
+        self._shared: dict[Connection, object] = {}
 
     def __enter__(self) -> "LevelExecutor":
         return self
@@ -460,7 +442,7 @@ class LevelExecutor:
         self.close()
 
     def close(self) -> None:
-        workers, self._workers, self._shared = self._workers, [], []
+        workers, self._workers, self._shared = self._workers, [], {}
         for _, conn in workers:
             try:
                 conn.send(None)
@@ -483,36 +465,42 @@ class LevelExecutor:
                 proc.start()
                 there.close()
                 self._workers.append((proc, here))
-                self._shared.append(None)
         return self._workers
 
     def map_slices(self, payloads: Sequence) -> list[list[tuple[np.ndarray, ...]]]:
-        """Run one slice per payload ``(decide, shared, rows)``, at most one
-        per worker; gather each slice's block columns in submission order.
+        """Run one slice per payload ``(decide, shared, rows)``; gather each
+        slice's block columns in submission order.  The payloads go out in
+        order, each to the next idle worker, and a worker is idle again as
+        soon as it replies, so only the last slices are waited for together.
         A worker keeps the last ``shared`` object it was sent, and gets it
         again only when another object comes, so ``shared`` must not change
         in place."""
-        workers = self._ensure_workers()
+        ready = [conn for _, conn in self._ensure_workers()]
+        pending = iter(enumerate(payloads))
+        busy: dict[Connection, int] = {}    # pipe -> the payload its worker holds
+        results: list[list[tuple[np.ndarray, ...]]] = [[] for _ in payloads]
         try:
-            for k, (decide, shared, rows) in enumerate(payloads):
-                message = (decide, _packed((rows,)))
-                if self._shared[k] is not shared:
-                    message += (shared,)
-                    self._shared[k] = shared
-                workers[k][1].send(message)
-            results = []
-            for (_, conn), _ in zip(workers, payloads):
-                ok, reply = conn.recv()
-                if not ok:
-                    raise LevelExecutionError(f"worker failed: {reply}")
-                results.append([_unpacked(packed) for packed in reply])
-        except LevelExecutionError:
-            self.close()
-            raise
+            while True:
+                for conn, (k, (decide, shared, rows)) in zip(ready, pending):
+                    message = (decide, _packed((rows,)))
+                    if self._shared.get(conn) is not shared:
+                        message += (shared,)
+                        self._shared[conn] = shared
+                    conn.send(message)
+                    busy[conn] = k
+                if not busy:
+                    return results
+                ready = wait(list(busy))
+                for conn in ready:
+                    ok, reply = conn.recv()
+                    if not ok:
+                        raise LevelExecutionError(f"worker failed: {reply}")
+                    results[busy.pop(conn)] = [_unpacked(packed) for packed in reply]
         except Exception as exc:
             self.close()
+            if isinstance(exc, LevelExecutionError):
+                raise
             raise LevelExecutionError(f"worker failed: {exc!r}") from exc
-        return results
 
 
 def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarray,
@@ -523,25 +511,31 @@ def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarra
     that workers can unpickle it; it gets a contiguous block of at most
     ``MAX_BLOCK_ROWS`` rows and returns a tuple of arrays (its columns) with
     one entry per row, each depending on its row and ``shared`` alone.  The
-    rows are split into batches by ``plan_batches`` under the executor's
-    config.  With one worker a batch is decided in-process; with more, each
-    worker gets an even contiguous slice of it, the larger slices first.
-    Each column is concatenated once over the level's blocks, so the result
-    is that of one in-process call on all rows, whatever the batching.
+    m rows are cut into contiguous slices of ceil(m / W) rows for W workers;
+    under a byte budget a slice holds at most the tasks of ``per_task_cost``
+    bytes each that a worker's share of the budget covers, and at least one.
+    So at most W slices are in flight at once.  With one worker the slices
+    are decided in-process; with more, ``map_slices`` feeds them to the
+    workers, each taking the next as it finishes.  Each column is
+    concatenated once over the level's blocks, so the result is that of one
+    in-process call on all rows, whatever the slicing.
     """
-    blocks: list[tuple[np.ndarray, ...]] = []
-    for batch in plan_batches(rows, ex.cfg, per_task_cost):
-        ex.peak_tasks_in_flight = max(ex.peak_tasks_in_flight, len(batch))
-        if ex.cfg.num_workers == 1:
-            blocks.extend(_decide_blocks(decide, shared, batch, ex.test, ex.cfg.alpha))
-            continue
-        slices = np.array_split(batch, min(ex.cfg.num_workers, len(batch)))
-        for decided in ex.map_slices([(decide, shared, s) for s in slices]):
-            blocks.extend(decided)
-    if not blocks:
+    if per_task_cost <= 0:
+        raise ValueError("per_task_cost must be positive")
+    m, workers, budget = len(rows), ex.cfg.num_workers, ex.cfg.mem_budget_bytes
+    if not m:
         # no rows: the columns, empty, of an in-process call
         return decide(shared, rows, ex.test, ex.cfg.alpha)
-    return tuple(np.concatenate(column) for column in zip(*blocks))
+    size = -(-m // workers)
+    if budget is not None:
+        size = min(size, max(1, budget // (per_task_cost * workers)))
+    ex.peak_tasks_in_flight = max(ex.peak_tasks_in_flight, min(m, workers * size))
+    slices = [rows[start:start + size] for start in range(0, m, size)]
+    if workers == 1:
+        decided = [_decide_blocks(decide, shared, s, ex.test, ex.cfg.alpha) for s in slices]
+    else:
+        decided = ex.map_slices([(decide, shared, s) for s in slices])
+    return tuple(np.concatenate(column) for column in zip(*chain.from_iterable(decided)))
 
 
 def stable_levels(ex: LevelExecutor, suff: object, adj: np.ndarray, edges: np.ndarray
@@ -554,7 +548,7 @@ def stable_levels(ex: LevelExecutor, suff: object, adj: np.ndarray, edges: np.nd
     writes ``adj`` while ``run_level`` runs, and each level's ``shared`` is
     a new tuple, so workers get it afresh), removes the accepted ones from
     ``adj`` and yields the level, its edges and ``decide_edges``'s columns;
-    ``suff`` sizes the batches.  The next level's edges are the survivors:
+    ``suff`` sizes the slices.  The next level's edges are the survivors:
     an edge left out has both degrees at most the level, and degrees only
     fall.  Stops at the first level with no edge to test.
     """
@@ -586,7 +580,7 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
     """Learn the undirected skeleton with the level-synchronized stable rule.
 
     ``suff`` is the sufficient statistic the test closes over (also consulted
-    for batch cost estimates); ``p`` is the variable count.  Returns the
+    for per-task cost estimates); ``p`` is the variable count.  Returns the
     skeleton, the separating set recorded for each removed edge, and the
     per-level statistics.
 
@@ -601,7 +595,7 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
     final neighbourhoods with sizes from the removal level up to the larger
     neighbourhood (capped at ``cfg.max_level``), and records all accepting
     sets with ``SepsetMap.set_search``.  It runs on the same executor and
-    batching as a level.  Its tests (``LevelStats.search_tests``) usually
+    slicing as a level.  Its tests (``LevelStats.search_tests``) usually
     add a few per cent to the level tests, but grow exponentially with the
     final degree.  The first-found sets are left as they are.
     """

@@ -18,7 +18,19 @@ from stablepc.cli import (
     run,
 )
 from stablepc.graphs import dag_from_json_dict
-from stablepc.skeleton import DEFAULT_MEM_BUDGET_BYTES, plan_batches
+from stablepc.skeleton import DEFAULT_MEM_BUDGET_BYTES, LevelExecutor, run_level
+
+
+def _rows_back(shared, rows, test, alpha):
+    return (rows,)
+
+
+def peak_in_flight(scfg, count, per_task_cost):
+    """``peak_tasks_in_flight`` once ``run_level`` has run ``count`` rows
+    under ``scfg``."""
+    with LevelExecutor(scfg, None) as ex:
+        run_level(ex, _rows_back, None, np.arange(count)[:, None], per_task_cost)
+        return ex.peak_tasks_in_flight
 
 
 def read_json(path):
@@ -349,14 +361,13 @@ class TestRunConfig:
 
     def test_given_mem_budget_turns_batching_on(self):
         scfg = RunConfig(command="pc", mem_budget=1, num_workers=1).skeleton_config()
-        assert len(plan_batches(np.arange(1000), scfg, per_task_cost=8)) > 1
+        assert peak_in_flight(scfg, 1000, per_task_cost=8) == 1
 
     def test_mem_efficient_alone_uses_default_budget(self):
         cfg = RunConfig(command="pc", mem_efficient=True, num_workers=1)
         scfg = cfg.skeleton_config()
         assert scfg.mem_budget_bytes == DEFAULT_MEM_BUDGET_BYTES
-        plan = plan_batches(np.arange(50), scfg, DEFAULT_MEM_BUDGET_BYTES // 10)
-        assert [len(b) for b in plan] == [10] * 5
+        assert peak_in_flight(scfg, 50, DEFAULT_MEM_BUDGET_BYTES // 10) == 10
 
     def test_batching_off_drops_the_budget(self):
         # bench's unbatched variants run one batch per level whatever the flags

@@ -100,9 +100,13 @@ class TestLoadCsv:
             load_csv(path, kind_hint="nope")
 
     def test_duplicate_names(self, tmp_path):
-        path = write(tmp_path, "a,a\n1,2\n")
-        with pytest.raises(DatasetError, match="unique"):
-            load_csv(path)
+        # plain numbers go to numpy's parser, a body with spaces to the cell parser
+        for body in ("1,2,3\n", "1, 2, 3\n"):
+            path = write(tmp_path, "a,b,a\n" + body)
+            with pytest.raises(DatasetError) as caught:
+                load_csv(path)
+            assert str(caught.value) == \
+                f"{path}: variable names must be unique; 'a' is columns 1 and 3"
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """Tests for the level-synchronized skeleton engine."""
 
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,13 @@ from stablepc.skeleton import (
     LevelExecutor,
     decide_edges,
     estimate_task_cost,
-    plan_batches,
     probe_free_memory,
     run_level,
     stable_levels,
 )
 
-# byte budgets: each level in one batch; one task per worker per batch; and
-# batches of a few dozen tasks at level 0 that shrink as tasks grow
+# byte budgets: one slice of each level per worker; slices of one task; and
+# slices of a few dozen tasks at level 0 that shrink as tasks grow
 MEM_BUDGETS = (None, 1, 16 * 1024)
 
 
@@ -173,34 +173,34 @@ class TestDecideEdge:
         assert len(set(block[2].tolist())) > 1
 
 
-class TestPlanBatches:
-    def small_tasks(self, count):
-        return np.array([(0, k + 1) for k in range(count)], dtype=np.int64)
+class TestSlicing:
+    """``run_level``'s slices, seen through ``peak_tasks_in_flight``, the
+    most task rows in flight at once."""
 
-    def test_single_batch_without_mem_flag(self):
-        plan = plan_batches(self.small_tasks(1000), SkeletonConfig(), 64)
-        assert len(plan) == 1 and len(plan[0]) == 1000
+    def peak(self, count, workers=1, budget=None, cost=64):
+        rows = np.array([(0, k + 1) for k in range(count)], dtype=np.int64)
+        cfg = SkeletonConfig(num_workers=workers, mem_budget_bytes=budget)
+        with LevelExecutor(cfg, None) as ex:
+            assert same_columns(run_level(ex, _echo_row, None, rows, cost), (rows,))
+            return ex.peak_tasks_in_flight
 
-    def test_budget_partition_sizes(self):
-        cfg = SkeletonConfig(mem_budget_bytes=1024, num_workers=2)
-        tasks = self.small_tasks(100)
-        plan = plan_batches(tasks, cfg, 64)
-        # per worker: 1024 // (64*2) = 8 -> batch size 16
-        sizes = [len(b) for b in plan]
-        assert sizes == [16] * 6 + [4]
-        assert np.array_equal(np.concatenate(plan), tasks)
+    def test_whole_level_without_budget(self):
+        assert self.peak(1000) == 1000
+        assert self.peak(7, workers=2) == 7
+
+    def test_budget_slice_sizes(self):
+        # per worker: 1024 // (64 * 2) = 8 rows a slice
+        assert self.peak(100, workers=2, budget=1024) == 16
 
     def test_budget_floor_is_one_per_worker(self):
-        cfg = SkeletonConfig(mem_budget_bytes=1, num_workers=3)
-        plan = plan_batches(self.small_tasks(10), cfg, 10 ** 9)
-        assert [len(b) for b in plan] == [3, 3, 3, 1]
+        assert self.peak(10, workers=3, budget=1, cost=10 ** 9) == 3
 
     def test_empty_tasks(self):
-        assert plan_batches([], SkeletonConfig(), 64) == ()
+        assert self.peak(0, workers=2) == 0
 
     def test_invalid_cost(self):
         with pytest.raises(ValueError):
-            plan_batches(self.small_tasks(3), SkeletonConfig(), 0)
+            self.peak(3, cost=0)
 
 
 class TestEstimateTaskCost:
@@ -242,6 +242,21 @@ def _echo_row(shared, rows, test, alpha):
 
 def _exit_worker(shared, rows, test, alpha):
     os._exit(3)
+
+
+def _meet_marker(shared, rows, test, alpha):
+    """Row 5 creates the marker file ``shared`` names; row 0 waits up to
+    10 s for it.  Per row: whether it saw the marker (only row 0 looks)."""
+    seen = np.zeros(len(rows), dtype=bool)
+    for k, row in enumerate(rows[:, 0].tolist()):
+        if row == 5:
+            shared.touch()
+        if row == 0:
+            deadline = time.monotonic() + 10.0
+            while not shared.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen[k] = shared.exists()
+    return (seen,)
 
 
 class TestRunLevelParallel:
@@ -286,6 +301,15 @@ class TestRunLevelParallel:
                                (_echo_row, shared, rows[1:])])
             [[echoed]] = ex.map_slices([(_echo_row, shared, rows[:3])])
             assert same_columns(echoed, (rows[:3],))
+
+    def test_idle_worker_takes_next_slice(self, tmp_path):
+        # one-row slices: row 0 holds its worker until row 5, four slices
+        # later, has run on the other, so no barrier may come before the end
+        rows = np.arange(6, dtype=np.int64)[:, None]
+        cfg = SkeletonConfig(num_workers=2, mem_budget_bytes=1)
+        with LevelExecutor(cfg, None) as ex:
+            seen, = run_level(ex, _meet_marker, tmp_path / "marker", rows, 64)
+        assert seen.tolist() == [True] + [False] * 5
 
 
 @dataclass(frozen=True)

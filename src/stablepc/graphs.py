@@ -2,7 +2,7 @@
 
 Adjacency is stored dense (numpy matrices) because variable counts stay in
 the low thousands and the level-synchronized algorithm wants cheap
-whole-graph snapshots.
+whole-graph snapshots; the unshielded triples are enumerated in one place.
 """
 
 from __future__ import annotations
@@ -48,19 +48,22 @@ class SkeletonGraph:
             if not 0 <= v < self.p:
                 raise GraphError(f"variable index {v} out of range [0, {self.p})")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        self._check(i, j)
-        return bool(self.adj[i, j])
-
     def add_edge(self, i: int, j: int) -> None:
         self._check(i, j)
         if i == j:
             raise GraphError("no self loops")
         self.adj[i, j] = self.adj[j, i] = True
 
-    def neighbors(self, v: int) -> list[int]:
-        self._check(v)
-        return np.flatnonzero(self.adj[v]).tolist()
+    def unshielded_triples(self) -> np.ndarray:
+        """Rows (i, k, j), ascending, of the paths i - k - j with i < j not
+        adjacent; built per vertex, so no scratch exceeds a neighbourhood squared."""
+        found = [np.empty((0, 3), dtype=np.int64)]
+        for k in np.flatnonzero(self.adj.sum(axis=1) >= 2).tolist():
+            nb = np.flatnonzero(self.adj[k])
+            a, b = np.nonzero(~(self.adj[nb][:, nb] | np.tri(len(nb), dtype=bool)))
+            found.append(np.column_stack([nb[a], np.full(len(a), k), nb[b]]))
+        triples = np.concatenate(found)
+        return triples[np.lexsort(triples.T[::-1])]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) with i < j, in ascending order."""

@@ -3,8 +3,8 @@
 Both passes give the same CPDAG under any relabelling of the variables.
 Each unshielded triple is decided by a majority vote over the separating
 sets the skeleton's final search accepted; an edge that receives opposite
-arrows stays undirected; Meek's rules run in synchronous rounds against a
-snapshot of the graph, and opposite proposals cancel.  Orientation is cheap
+arrows stays undirected; Meek's rules run in synchronous rounds over the
+present edges' marks, and opposite proposals cancel.  Orientation is cheap
 next to CI testing and runs single-threaded.
 """
 
@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import ARROW, TAIL, Cpdag, Dag, GraphError, SepsetMap, SkeletonGraph
+from .graphs import ARROW, NO_END, TAIL, Cpdag, Dag, GraphError, SepsetMap, SkeletonGraph
 
 
 def _triple(x: int, k: int, y: int) -> tuple[int, int, int]:
@@ -53,17 +53,14 @@ def orient_v_structures(skel: SkeletonGraph, seps: SepsetMap) -> Cpdag:
         )
     arrows: set[tuple[int, int]] = set()
     ambiguous: set[tuple[int, int, int]] = set()
-    for k in range(skel.p):
-        for i, j in combinations(skel.neighbors(k), 2):
-            if skel.has_edge(i, j):
-                continue
-            sets = _separating_sets(seps, i, j)
-            votes = 2 * sum(k in s for s in sets)
-            if votes < len(sets):
-                arrows.add((i, k))
-                arrows.add((j, k))
-            elif votes == len(sets):
-                ambiguous.add((i, k, j))
+    for i, k, j in skel.unshielded_triples().tolist():
+        sets = _separating_sets(seps, i, j)
+        votes = 2 * sum(k in s for s in sets)
+        if votes < len(sets):
+            arrows.add((i, k))
+            arrows.add((j, k))
+        elif votes == len(sets):
+            ambiguous.add((i, k, j))
     g = Cpdag.from_skeleton(skel)
     g.ambiguous = frozenset(ambiguous)
     for a, b in arrows:
@@ -72,14 +69,18 @@ def orient_v_structures(skel: SkeletonGraph, seps: SepsetMap) -> Cpdag:
     return g
 
 
-def _meek_proposals(g: Cpdag) -> set[tuple[int, int]]:
-    """Every a -> b that one of Meek's rules R1-R4 derives from ``g``."""
-    tail_back = g.mark.T == TAIL
-    directed = (g.mark == ARROW) & tail_back
-    adj = [set(np.flatnonzero(row).tolist()) for row in g.mark]
-    parents = [set(np.flatnonzero(col).tolist()) for col in directed.T]
-    undirected = [set(np.flatnonzero(row).tolist())
-                  for row in (g.mark == TAIL) & tail_back]
+def _meek_proposals(g: Cpdag, rows: np.ndarray, cols: np.ndarray) -> set[tuple[int, int]]:
+    """Every a -> b that one of Meek's rules R1-R4 derives from ``g``, whose
+    edges' ends are at (rows[k], cols[k]), row-major."""
+    here, back = g.mark[rows, cols], g.mark[cols, rows]
+
+    def by_row(keep: np.ndarray) -> list[set[int]]:
+        cuts = np.searchsorted(rows[keep], np.arange(1, g.p))
+        return [set(c.tolist()) for c in np.split(cols[keep], cuts)]
+
+    adj = by_row(here != NO_END)
+    parents = by_row((here == TAIL) & (back == ARROW))
+    undirected = by_row((here == TAIL) & (back == TAIL))
     return {(a, b) for a in range(g.p) for b in undirected[a]
             if _derives(a, b, adj, parents, undirected, g.ambiguous)}
 
@@ -119,8 +120,9 @@ def meek_closure(g: Cpdag) -> Cpdag:
     R4's c - a - b, R3's c - a - d.  The input is not modified.
     """
     out = g.copy()
+    rows, cols = np.nonzero(out.mark)     # orienting changes marks, never edges
     while True:
-        proposals = _meek_proposals(out)
+        proposals = _meek_proposals(out, rows, cols)
         applied = [(a, b) for a, b in proposals if (b, a) not in proposals]
         if not applied:
             return out
@@ -136,9 +138,8 @@ def cpdag_from_dag(dag: Dag) -> Cpdag:
     """
     skel = dag.skeleton()
     g = Cpdag.from_skeleton(skel)
-    for k, parents in enumerate(dag.parents):
-        for i, j in combinations(parents, 2):
-            if not skel.adj[i, j]:
-                g.orient(i, k)
-                g.orient(j, k)
+    for i, k, j in skel.unshielded_triples().tolist():
+        if i in dag.parents[k] and j in dag.parents[k]:
+            g.orient(i, k)
+            g.orient(j, k)
     return meek_closure(g)

@@ -296,15 +296,13 @@ def _sets_of_size(pairs: list[list[int]], nbrs: dict[int, tuple[int, ...]],
 def _search_rows(graph: SkeletonGraph, sepsets: SepsetMap,
                  max_level: int | None) -> np.ndarray:
     """One row (i, j, min_size, max_size) per non-adjacent pair (i < j)
-    sharing a neighbour, ascending.
+    sharing a neighbour, ascending: the ends of the unshielded triples.
 
     Sizes below the removal level need no test: while the edge was present
     the skeleton tested and rejected every such subset of these (then
     larger) neighbourhoods.
     """
-    adj = graph.adj.astype(np.float32)
-    shares = (adj @ adj > 0) & ~graph.adj
-    pairs = np.argwhere(np.triu(shares, 1))
+    pairs = np.unique(graph.unshielded_triples()[:, [0, 2]], axis=0)
     degree = graph.adj.sum(axis=1)
     top = np.maximum(degree[pairs[:, 0]], degree[pairs[:, 1]])
     if max_level is not None:

@@ -9,7 +9,9 @@ statistical test also has a bit-level reference, the library's former scalar
 code, which its kernel must match bit for bit: one submatrix inversion per
 call for the Gaussian tests, one full contingency table per call for the
 discrete ones (which are also checked by dict counting over the observed
-strata only).
+strata only).  The graph steps keep theirs too: unshielded triples by a
+loop over each vertex's neighbour pairs, and Meek proposals read from the
+whole mark matrix.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 from scipy.special import gammaincc
 
 from stablepc import (Cpdag, Dag, DegenerateConditioningError, DiscreteSuffStat,
-                      GaussianSuffStat, GraphError)
+                      GaussianSuffStat, GraphError, SkeletonGraph)
 from stablepc.graphs import ARROW, NO_END, TAIL
+from stablepc.orientation import _derives
 
 mpmath.mp.dps = 50
 
@@ -186,6 +189,30 @@ def validate_cpdag(g: Cpdag) -> None:
         parent_sets[j].add(i)
     if not _acyclic(parent_sets):
         raise GraphError("directed part has a cycle")
+
+
+def unshielded_triples_reference(skel: SkeletonGraph) -> list[tuple[int, int, int]]:
+    """Every (i, k, j), i < j, with i - k - j and i, j not adjacent, sorted:
+    the library's former per-vertex loop over neighbour pairs."""
+    out = []
+    for k in range(skel.p):
+        for i, j in combinations(np.flatnonzero(skel.adj[k]).tolist(), 2):
+            if not skel.adj[i, j]:
+                out.append((i, k, j))
+    return sorted(out)
+
+
+def meek_proposals_dense(g: Cpdag) -> set[tuple[int, int]]:
+    """Every a -> b that one of Meek's rules R1-R4 derives from ``g``: the
+    library's former round, which compares the whole mark matrix."""
+    tail_back = g.mark.T == TAIL
+    directed = (g.mark == ARROW) & tail_back
+    adj = [set(np.flatnonzero(row).tolist()) for row in g.mark]
+    parents = [set(np.flatnonzero(col).tolist()) for col in directed.T]
+    undirected = [set(np.flatnonzero(row).tolist())
+                  for row in (g.mark == TAIL) & tail_back]
+    return {(a, b) for a in range(g.p) for b in undirected[a]
+            if _derives(a, b, adj, parents, undirected, g.ambiguous)}
 
 
 def pcor_residuals(data: np.ndarray, i: int, j: int, s) -> float:

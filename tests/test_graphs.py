@@ -1,13 +1,14 @@
 """Tests for graph containers and d-separation."""
 
 import json
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dsep_paths, random_dag, validate_cpdag
+from oracles import dsep_paths, random_dag, unshielded_triples_reference, validate_cpdag
 from stablepc import (
     Cpdag,
     Dag,
@@ -34,27 +35,53 @@ class TestSkeletonGraph:
             complete_graph(1)
 
     def test_neighbors_complete(self):
-        assert complete_graph(3).neighbors(1) == [0, 2]
+        assert np.flatnonzero(complete_graph(3).adj[1]).tolist() == [0, 2]
 
     def test_neighbors_empty(self):
-        g = SkeletonGraph(4)
-        assert all(g.neighbors(v) == [] for v in range(4))
+        assert not SkeletonGraph(4).adj.any()
 
     def test_neighbors_after_removal(self):
         g = complete_graph(3)
         g.adj[0, 1] = g.adj[1, 0] = False
-        assert g.neighbors(0) == [2]
-
-    def test_neighbors_out_of_range(self):
-        with pytest.raises(GraphError):
-            complete_graph(3).neighbors(3)
+        assert np.flatnonzero(g.adj[0]).tolist() == [2]
 
     def test_symmetry_audit_after_mutations(self):
         g = complete_graph(5)
         g.adj[1, 3] = g.adj[3, 1] = g.adj[4, 0] = g.adj[0, 4] = False
         g.add_edge(1, 3)
         assert np.array_equal(g.adj, g.adj.T)
-        assert g.has_edge(3, 1) and not g.has_edge(0, 4)
+        assert g.adj[3, 1] and not g.adj[0, 4]
+
+    def test_unshielded_triples_match_the_pair_loop(self):
+        rng = np.random.default_rng(16)
+        star = SkeletonGraph(7)
+        for leaf in range(1, 7):
+            star.add_edge(0, leaf)
+        graphs = [star, complete_graph(9)]
+        for p in (2, 3, 10, 40, 120):
+            for density in (0, 0.05, 0.3, 0.8, 1):
+                upper = np.triu(rng.random((p, p)) < density, 1)
+                graphs.append(SkeletonGraph(p, upper | upper.T))
+        for g in graphs:
+            triples = g.unshielded_triples()
+            assert triples.shape[1:] == (3,) and triples.dtype == np.int64
+            assert list(map(tuple, triples.tolist())) == unshielded_triples_reference(g)
+        assert len(graphs[0].unshielded_triples()) == 15  # pairs of 6 leaves
+        assert len(graphs[1].unshielded_triples()) == 0
+
+    def test_unshielded_triples_scratch_is_one_neighbourhood(self):
+        # near-complete p = 300: 13.4 M neighbour pairs, 298 triples; all
+        # pairs at once would take hundreds of MB
+        g = complete_graph(300)
+        g.adj[0, 1] = g.adj[1, 0] = False
+        tracemalloc.start()
+        try:
+            triples = g.unshielded_triples()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert triples.tolist() == [[0, k, 1] for k in range(2, 300)]
+        assert peak <= 8 << 20, peak
 
     def test_json_round_trip(self):
         g = complete_graph(4)

@@ -218,7 +218,7 @@ class TestKnownSupersetBoundary:
         from stablepc import skeleton_stable
         graph, _, _ = skeleton_stable(self.DAG, OracleTest(self.DAG), 7,
                                       SkeletonConfig())
-        assert graph.neighbors(2) == [0, 6]
+        assert np.flatnonzero(graph.adj[2]).tolist() == [0, 6]
 
     def test_every_separator_needs_the_eliminated_spouse(self):
         from stablepc import d_separated

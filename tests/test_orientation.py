@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import equivalence_class_cpdag, random_dag, validate_cpdag
+from oracles import (equivalence_class_cpdag, meek_proposals_dense, random_dag,
+                     unshielded_triples_reference, validate_cpdag)
 from stablepc import (
     Cpdag,
     Dag,
@@ -18,6 +19,7 @@ from stablepc import (
     orient_v_structures,
     skeleton_stable,
 )
+from stablepc.orientation import _meek_proposals
 
 
 def record(seps, i, j, sepset):
@@ -58,6 +60,12 @@ class TestOrientVStructures:
         record(seps, 0, 1, [])
         with pytest.raises(GraphError, match="present edge"):
             orient_v_structures(skel, seps)
+
+    def test_sepset_pair_out_of_range_rejected(self):
+        seps = SepsetMap()
+        record(seps, 0, 5, [])
+        with pytest.raises(GraphError, match="variable index 5 out of range"):
+            orient_v_structures(skeleton_with(3, [(0, 1)]), seps)
 
     def test_missing_sepset_skips_triple(self):
         skel = skeleton_with(3, [(0, 2), (1, 2)])
@@ -168,6 +176,16 @@ class TestMeekClosure:
         g.ambiguous = frozenset({(2, 0, 3)})
         assert (0, 1) in meek_closure(g).undirected_edges()
 
+    def test_r4_blocked_by_ambiguous_triple(self):
+        # test_r4's graph, where R4 alone derives 0 -> 1, through c - a - b
+        # = 2 - 0 - 1
+        g = Cpdag.from_skeleton(
+            skeleton_with(4, [(0, 1), (0, 2), (0, 3), (2, 3), (1, 3)]))
+        g.orient(2, 3)
+        g.orient(3, 1)
+        g.ambiguous = frozenset({(1, 0, 2)})
+        assert (0, 1) in meek_closure(g).undirected_edges()
+
     def test_opposite_proposals_leave_edge_undirected(self):
         # 2 -> 0 - 1 <- 3 with 2, 3 non-adjacent to the far end: R1
         # proposes 0 -> 1 and 1 -> 0 in the same round
@@ -215,6 +233,44 @@ class TestMeekClosure:
         before = g.mark.copy()
         meek_closure(g)
         assert np.array_equal(g.mark, before)
+
+
+class TestMeekAgainstDenseRounds:
+    @staticmethod
+    def voted_cpdag(p, density, rng):
+        """``orient_v_structures`` over a random skeleton, each pair sharing
+        a neighbour given zero to three random accepted sets, so that
+        colliders, ties and conflicting arrows all occur."""
+        upper = np.triu(rng.random((p, p)) < density, 1)
+        skel = SkeletonGraph(p, upper | upper.T)
+        seps = SepsetMap()
+        for i, j in sorted({(i, j) for i, _, j in unshielded_triples_reference(skel)}):
+            others = np.array([v for v in range(p) if v not in (i, j)])
+            seps.set_search(i, j, [others[rng.random(len(others)) < 0.5].tolist()
+                                   for _ in range(rng.integers(0, 4))])
+        return orient_v_structures(skel, seps)
+
+    def test_every_round_proposes_what_the_dense_round_does(self):
+        rng = np.random.default_rng(12)
+        ambiguous = cancelled = later_rounds = 0
+        for trial in range(60):
+            p = int(rng.integers(4, 30))
+            g = self.voted_cpdag(p, (0.1, 0.2, 0.5, 0.7)[trial % 4], rng)
+            closed = meek_closure(g)
+            ambiguous += len(g.ambiguous)
+            rows, cols = np.nonzero(g.mark)
+            for round_ in range(p * p):
+                proposals = _meek_proposals(g, rows, cols)
+                assert proposals == meek_proposals_dense(g), (trial, round_)
+                applied = [(a, b) for a, b in proposals if (b, a) not in proposals]
+                cancelled += len(proposals) - len(applied)
+                if not applied:
+                    break
+                later_rounds += round_ > 0
+                for a, b in applied:
+                    g.orient(a, b)
+            assert np.array_equal(g.mark, closed.mark), trial
+        assert ambiguous and cancelled and later_rounds
 
 
 class TestCpdagFromDag:

@@ -3,6 +3,8 @@
 Adjacency is stored dense (numpy matrices) because variable counts stay in
 the low thousands and the level-synchronized algorithm wants cheap
 whole-graph snapshots; the unshielded triples are enumerated in one place.
+Separating sets are not: the map keeps one table per set size, pair codes
+ascending, looked up by binary search, and each pair is written once.
 """
 
 from __future__ import annotations
@@ -178,30 +180,27 @@ class SepsetMap:
     """Separating sets recorded for removed edges, keyed by unordered pair.
 
     Each removed edge has one first-found set, the one that removed it
-    (``get``, ``pair_array``, ``to_json_dict``).  A pair may also carry the
-    result of the separating-set search on the final skeleton: every set
-    that search accepted, possibly none (``set_search``, ``get_search``).
-    Orientation votes over the search result where there is one.  Equality
-    compares both records.
+    (``get``, ``set_sizes``, ``to_json_dict``), written once.  A pair may
+    also carry the result of the separating-set search on the final
+    skeleton: every set that search accepted, possibly none
+    (``set_search``, ``get_search``).  Orientation votes over the search
+    result where there is one.  Equality compares both records.
 
     The first-found sets live in arrays, with no object per pair, and take
-    memory in proportion to the pairs recorded.  Each write (``set_many``)
-    keeps its pairs' codes ``i << 32 | j`` (i < j) and its (m, size) array
-    of sets.  The first read after a write joins them to the table: each
-    pair's latest set, codes ascending, the members of all sets one after
-    another.  Reads look pairs up by ``searchsorted``.  The search records
-    are a dict: the search covers only the pairs that share a neighbour in
-    the final skeleton.
+    memory in proportion to the pairs recorded: one table per set size, the
+    pair codes ``i << 32 | j`` (i < j) ascending beside an (m, size) array
+    of their sets.  The skeleton removes an edge at one level, with a set
+    of that level's size, so each level's removals make one table.  Reads
+    look a pair up by ``searchsorted`` in each table.  ``largest_index`` is
+    the largest variable index of a recorded pair, -1 when there is none.
+    The search records are a dict: the search covers only the pairs that
+    share a neighbour in the final skeleton.
     """
 
     def __init__(self) -> None:
-        # (codes, sets) of each write since the table was last built
-        self._writes: list[tuple[np.ndarray, np.ndarray]] = []
-        self._codes = np.empty(0, dtype=np.int64)
-        self._sizes = np.empty(0, dtype=np.int32)
-        self._starts = np.empty(0, dtype=np.int64)
-        self._members = np.empty(0, dtype=np.int32)
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._search: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+        self.largest_index = -1
 
     @staticmethod
     def _key(i: int, j: int) -> tuple[int, int]:
@@ -209,46 +208,25 @@ class SepsetMap:
             raise GraphError("sepset pair must be two distinct variables")
         return (i, j) if i < j else (j, i)
 
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(codes, sizes, starts, members): each pair's latest set, codes
-        ascending, the members of all sets one after another."""
-        if self._writes:
-            codes = np.concatenate([self._codes, *(c for c, _ in self._writes)])
-            sizes = np.concatenate([self._sizes, *(np.full(len(c), sets.shape[1], np.int32)
-                                                   for c, sets in self._writes)])
-            members = np.concatenate([self._members,
-                                      *(sets.ravel() for _, sets in self._writes)])
-            self._writes = []
-            order = np.argsort(codes, kind="stable")     # a pair's writes in order
-            codes = codes[order]
-            latest = np.ones(len(codes), dtype=bool)
-            latest[:-1] = codes[1:] != codes[:-1]
-            if not latest.all():
-                order, codes = order[latest], codes[latest]
-            # position of each kept member: its set's start, plus its place
-            starts = np.cumsum(sizes) - sizes
-            sizes = sizes[order]
-            self._starts = np.cumsum(sizes) - sizes
-            shift = np.repeat(starts[order] - self._starts, sizes)
-            self._codes, self._sizes = codes, sizes
-            self._members = members[shift + np.arange(len(shift))]
-        return self._codes, self._sizes, self._starts, self._members
-
-    def _records(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """The table row of each pair low[k] < high[k], -1 where it has none."""
-        codes = self._table()[0]
+    def _find(self, low: np.ndarray,
+              high: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(sets, rows, found) per table: the row of each pair low[k] < high[k]
+        in that table, where ``found[k]``.  An index outside [0, 2**31) is
+        found nowhere, since its code could equal another pair's."""
         wanted = (low.astype(np.int64) << 32) | high
-        rows = np.searchsorted(codes, wanted)
-        found = (low >= 0) & (high <= np.iinfo(np.int32).max) & (rows < len(codes))
-        found[found] = codes[rows[found]] == wanted[found]
-        return np.where(found, rows, -1)
+        valid = (low >= 0) & (high <= np.iinfo(np.int32).max)
+        for codes, sets in self._tables.values():
+            rows = np.searchsorted(codes, wanted)
+            found = valid & (rows < len(codes))
+            found[found] = codes[rows[found]] == wanted[found]
+            yield sets, rows, found
 
     def set_many(self, pairs: np.ndarray, sepsets: np.ndarray) -> None:
         """Record one set per row: ``sepsets[k]`` for the pair ``pairs[k]``.
 
         ``pairs`` is an (m, 2) array of distinct pairs and ``sepsets`` an
-        (m, size) array, one level's removals.  A later write of a pair
-        replaces its set; a pair named twice in one call raises
+        (m, size) array, one level's removals.  A pair is recorded once: one
+        named twice in the call, or already in the map, raises
         ``GraphError`` and leaves the map as it was.
         """
         pairs, sepsets = np.asarray(pairs), np.asarray(sepsets)
@@ -263,33 +241,44 @@ class SepsetMap:
             raise GraphError("sepset pair must be two distinct variables")
         if low.min() < 0:
             raise GraphError(f"variable index {low.min()} is negative")
-        if high.max() > np.iinfo(np.int32).max or (sepsets.size and (
+        largest = int(high.max())
+        if largest > np.iinfo(np.int32).max or (sepsets.size and (
                 sepsets.min() < 0 or sepsets.max() > np.iinfo(np.int32).max)):
             raise GraphError("variable index out of the int32 range")
         if (sepsets == low[:, None]).any() or (sepsets == high[:, None]).any():
             raise GraphError("separating set must exclude the pair itself")
+        if any(found.any() for _, _, found in self._find(low, high)):
+            raise GraphError("set_many names a pair the map already holds")
         codes = low.astype(np.int64)
         codes <<= 32
         codes |= high
         del low, high
-        if not (codes[1:] > codes[:-1]).all() and not np.diff(np.sort(codes)).all():
-            raise GraphError("set_many names a pair twice")
-        self._writes.append((codes, sepsets.astype(np.int32)))
+        sepsets = sepsets.astype(np.int32)
+        if not (codes[1:] > codes[:-1]).all():
+            order = np.argsort(codes)
+            codes, sepsets = codes[order], sepsets[order]
+            if not (codes[1:] > codes[:-1]).all():
+                raise GraphError("set_many names a pair twice")
+        size = sepsets.shape[1]
+        if size in self._tables:
+            held, sets = self._tables[size]
+            at = np.searchsorted(held, codes)
+            codes, sepsets = np.insert(held, at, codes), np.insert(sets, at, sepsets, axis=0)
+        self._tables[size] = codes, sepsets
+        self.largest_index = max(self.largest_index, largest)
 
     def get(self, i: int, j: int) -> tuple[int, ...] | None:
         a, b = self._key(i, j)
-        row = int(self._records(np.array([a]), np.array([b]))[0])
-        if row < 0:
-            return None
-        _, sizes, starts, members = self._table()
-        return tuple(members[starts[row]:starts[row] + sizes[row]].tolist())
+        for sets, rows, found in self._find(np.array([a]), np.array([b])):
+            if found[0]:
+                return tuple(sets[rows[0]].tolist())
+        return None
 
     def set_sizes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The size of each pair (i[k], j[k])'s set, -1 where it has none."""
-        rows = self._records(np.minimum(i, j), np.maximum(i, j))
-        out = np.full(len(rows), -1, dtype=np.int64)
-        found = rows >= 0
-        out[found] = self._table()[1][rows[found]]
+        out = np.full(len(i), -1, dtype=np.int64)
+        for sets, _, found in self._find(np.minimum(i, j), np.maximum(i, j)):
+            out[found] = sets.shape[1]
         return out
 
     def set_search(self, i: int, j: int,
@@ -304,27 +293,22 @@ class SepsetMap:
         """The search's accepted sets, or None when (i, j) was not searched."""
         return self._search.get(self._key(i, j))
 
-    def pair_array(self) -> np.ndarray:
-        """The pairs (i, j), i < j, that have a set, ascending, as an
-        (m, 2) array."""
-        codes = self._table()[0]
-        return np.column_stack([codes >> 32, codes & 0xFFFFFFFF])
-
     def __len__(self) -> int:
-        return len(self._table()[0])
+        return sum(len(codes) for codes, _ in self._tables.values())
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SepsetMap)
                 and self._search == other._search
+                and self._tables.keys() == other._tables.keys()
                 and all(np.array_equal(a, b)
-                        for a, b in zip(self._table(), other._table())))
+                        for size, table in self._tables.items()
+                        for a, b in zip(table, other._tables[size])))
 
     def to_json_dict(self) -> dict:
-        _, sizes, starts, members = self._table()
-        members = members.tolist()
-        return {f"{i},{j}": members[start:start + size]
-                for (i, j), size, start in zip(self.pair_array().tolist(),
-                                               sizes.tolist(), starts.tolist())}
+        return {f"{i},{j}": members
+                for codes, sets in self._tables.values()
+                for i, j, members in zip((codes >> 32).tolist(),
+                                         (codes & 0xFFFFFFFF).tolist(), sets.tolist())}
 
     def json_chunks(self) -> Iterator[str]:
         """The text of ``json.dumps(self.to_json_dict(), sort_keys=True,
@@ -333,28 +317,35 @@ class SepsetMap:
 
         ``sort_keys`` orders the "i,j" strings, and "," sorts before every
         digit, so the order is that of the decimal string of i, then of j:
-        a lexsort on each variable's rank among the sorted decimal strings.
+        a lexsort on each variable's rank among the sorted decimal strings,
+        over the tables one after another.
         """
-        pairs = self.pair_array()
-        _, sizes, starts, members = self._table()
-        if not len(pairs):
+        if not self._tables:
             yield "{}\n"
             return
-        names = [str(v) for v in range(int(pairs.max()) + 1)]
+        tables = list(self._tables.values())
+        codes = np.concatenate([codes for codes, _ in tables])
+        ends = np.cumsum([len(codes) for codes, _ in tables])
+        names = [str(v) for v in range(self.largest_index + 1)]
         rank = np.empty(len(names), dtype=np.int64)
         rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-        order = np.lexsort((rank[pairs[:, 1]], rank[pairs[:, 0]]))
+        order = np.lexsort((rank[codes & 0xFFFFFFFF], rank[codes >> 32]))
         heads = [f'  "{name},' for name in names]
         empty_tails = [f'{name}": []' for name in names]
         yield "{\n"
         for first in range(0, len(order), JSON_CHUNK_ENTRIES):
             rows = order[first:first + JSON_CHUNK_ENTRIES]
-            i, j = pairs[rows, 0].tolist(), pairs[rows, 1].tolist()
+            i, j = (codes[rows] >> 32).tolist(), (codes[rows] & 0xFFFFFFFF).tolist()
             tails = list(map(empty_tails.__getitem__, j))
-            for k in np.flatnonzero(sizes[rows]).tolist():
-                start, size = starts[rows[k]], sizes[rows[k]]
-                items = ",\n    ".join(map(str, members[start:start + size].tolist()))
-                tails[k] = f'{names[j[k]]}": [\n    {items}\n  ]'
+            table = np.searchsorted(ends, rows, side="right")
+            for t, (_, sets) in enumerate(tables):
+                ks = np.flatnonzero(table == t)
+                if not (sets.shape[1] and len(ks)):
+                    continue
+                picked = sets[rows[ks] - (ends[t] - len(sets))].tolist()
+                for k, members in zip(ks.tolist(), picked):
+                    items = ",\n    ".join(map(str, members))
+                    tails[k] = f'{names[j[k]]}": [\n    {items}\n  ]'
             lines = ",\n".join(map(operator.add, map(heads.__getitem__, i), tails))
             yield lines if first == 0 else ",\n" + lines
         yield "\n}\n"

@@ -41,10 +41,10 @@ def orient_v_structures(skel: SkeletonGraph, seps: SepsetMap) -> Cpdag:
     the result does not depend on the order triples are visited in.  The
     returned CPDAG carries the ambiguous triples.
     """
-    pairs = seps.pair_array()
-    if len(pairs) and pairs.max() >= skel.p:
-        raise GraphError(f"variable index {pairs.max()} out of range [0, {skel.p})")
-    present = pairs[skel.adj[pairs[:, 0], pairs[:, 1]]]
+    if seps.largest_index >= skel.p:
+        raise GraphError(f"variable index {seps.largest_index} out of range [0, {skel.p})")
+    edges = np.argwhere(np.triu(skel.adj, 1))
+    present = edges[seps.set_sizes(edges[:, 0], edges[:, 1]) >= 0]
     if len(present):
         a, b = present[0].tolist()
         raise GraphError(
@@ -101,11 +101,10 @@ def _derives(a: int, b: int, adj: list[set[int]], parents: list[set[int]],
             return True
     # R4: sibling c of a with a chain c -> d -> b, a adjacent to d, c and b
     # non-adjacent
-    for c in undirected[a]:
-        if c in adj[b] or c == b or _triple(c, a, b) in amb:
-            continue
-        for d in parents[b] & adj[a]:
-            if c in parents[d]:
+    chains = parents[b] & adj[a]
+    if chains:
+        for c in undirected[a] - adj[b] - {b}:
+            if _triple(c, a, b) not in amb and any(c in parents[d] for d in chains):
                 return True
     return False
 

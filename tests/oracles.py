@@ -202,6 +202,12 @@ def unshielded_triples_reference(skel: SkeletonGraph) -> list[tuple[int, int, in
     return sorted(out)
 
 
+def sepset_pairs(seps) -> list[list[int]]:
+    """The pairs [i, j], i < j, that have a first-found set, ascending, read
+    from the map's JSON keys."""
+    return sorted([int(v) for v in key.split(",")] for key in seps.to_json_dict())
+
+
 def meek_proposals_dense(g: Cpdag) -> set[tuple[int, int]]:
     """Every a -> b that one of Meek's rules R1-R4 derives from ``g``: the
     library's former round, which compares the whole mark matrix."""

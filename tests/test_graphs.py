@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dsep_paths, random_dag, unshielded_triples_reference, validate_cpdag
+from oracles import (dsep_paths, random_dag, sepset_pairs, unshielded_triples_reference,
+                     validate_cpdag)
 from stablepc import (
     Cpdag,
     Dag,
@@ -133,7 +134,7 @@ class TestSepsetMap:
         record(m, 3, 1, [2])
         assert m.get(1, 3) == (2,)
         assert m.get(3, 1) == (2,) and m.get(1, 2) is None
-        assert m.pair_array().tolist() == [[1, 3]]
+        assert sepset_pairs(m) == [[1, 3]]
 
     def test_rejects_pair_in_set(self):
         m = SepsetMap()
@@ -188,13 +189,13 @@ class TestSepsetMapArrays:
         assert len(single) > 0
         for other in (bulk, mixed):
             assert other == single
-            assert other.pair_array().tolist() == single.pair_array().tolist()
+            assert sepset_pairs(other) == sepset_pairs(single)
             assert len(other) == len(single)
             assert other.to_json_dict() == single.to_json_dict()
-            assert [other.get(j, i) for i, j in single.pair_array().tolist()] == \
-                [single.get(i, j) for i, j in single.pair_array().tolist()]
+            assert [other.get(j, i) for i, j in sepset_pairs(single)] == \
+                [single.get(i, j) for i, j in sepset_pairs(single)]
         assert single.to_json_dict() == {f"{i},{j}": list(single.get(i, j))
-                                         for i, j in single.pair_array().tolist()}
+                                         for i, j in sepset_pairs(single)}
 
     @pytest.mark.parametrize("p", [2, 11, 101, 1001, 12345])
     def test_json_chunks_match_json_dumps(self, p, monkeypatch):
@@ -208,24 +209,36 @@ class TestSepsetMapArrays:
         assert "".join(SepsetMap().json_chunks()) == \
             json.dumps({}, sort_keys=True, indent=2) + "\n"
 
-    def test_later_write_wins(self):
+    def test_second_write_of_a_pair_raises_and_keeps_the_map(self):
         m = SepsetMap()
         m.set_many(np.array([[0, 3], [1, 2]]), np.array([[1], [3]]))
-        record(m, 3, 0, [2])
-        m.set_many(np.array([[2, 1]]), np.array([[0]]))
-        assert m.get(0, 3) == (2,) and m.get(1, 2) == (0,)
-        assert len(m) == 2 and m.pair_array().tolist() == [[0, 3], [1, 2]]
-        assert m.set_sizes(np.array([3, 0, 0]), np.array([0, 1, 9])).tolist() == [1, -1, -1]
+        record(m, 4, 5, [])
+        before = m.to_json_dict()
+        for pairs, sets in (([[3, 0]], [[2]]),                  # same size
+                            ([[2, 1]], [[0, 4]]),               # another size
+                            ([[5, 4]], [[1]]),                  # held at size 0
+                            ([[6, 7], [1, 2], [8, 9]], [[0], [0], [0]])):  # one row repeats
+            with pytest.raises(GraphError, match="already holds"):
+                m.set_many(np.array(pairs), np.array(sets))
+            assert m.to_json_dict() == before and len(m) == 3
+        assert m.get(0, 3) == (1,) and m.get(1, 2) == (3,) and m.get(6, 7) is None
+        assert sepset_pairs(m) == [[0, 3], [1, 2], [4, 5]]
+        assert m.set_sizes(np.array([3, 0, 0, 5]), np.array([0, 1, 9, 4])).tolist() == \
+            [1, -1, -1, 0]
 
     def test_memory_follows_pairs_not_indices(self):
         # a dense p x p index would need exabytes for these two pairs
         m = SepsetMap()
         record(m, 1, 50000, ())
         record(m, 2**31 - 1, 2, [5])
-        assert m.pair_array().tolist() == [[1, 50000], [2, 2**31 - 1]]
+        assert sepset_pairs(m) == [[1, 50000], [2, 2**31 - 1]]
         assert m.get(2, 2**31 - 1) == (5,) and m.get(1, 50000) == ()
         # (0, 2**32 + 50000) would share the code of (1, 50000)
         assert m.get(0, 2**32 + 50000) is None
+        # so would (0, 2**33 + 2**31 - 1) with (2, 2**31 - 1)
+        outside = np.array([2**32 + 50000, 2**33 + 2**31 - 1, 2, 2**31])
+        assert m.set_sizes(np.array([0, 0, -1, 1]), outside).tolist() == [-1] * 4
+        assert m.set_sizes(np.array([50000, 2]), np.array([1, 2**31 - 1])).tolist() == [0, 1]
         with pytest.raises(GraphError):
             record(m, 0, 2**31, ())
 
@@ -234,6 +247,7 @@ class TestSepsetMapArrays:
         record(m, 0, 1, [2])
         before = m.to_json_dict()
         for pairs, sets in (([[0, 1], [1, 0]], [[2], [3]]),     # a pair twice
+                            ([[5, 6], [2, 3], [6, 5]], [[1], [1], [0]]),  # a new pair twice
                             ([[2, 3]], [[3]]),                  # set holds the pair
                             ([[4, 4]], [[1]])):                 # not a pair
             with pytest.raises(GraphError):

@@ -61,6 +61,14 @@ class TestOrientVStructures:
         with pytest.raises(GraphError, match="present edge"):
             orient_v_structures(skel, seps)
 
+    def test_present_edge_named_is_the_smallest_across_tables(self):
+        skel = complete_graph(6)
+        seps = SepsetMap()
+        seps.set_many(np.array([[4, 5], [3, 1]]), np.array([[0], [2]]))
+        seps.set_many(np.array([[5, 2], [0, 4]]), np.array([[], []], dtype=np.int64))
+        with pytest.raises(GraphError, match="present edge 0 - 4;"):
+            orient_v_structures(skel, seps)
+
     def test_sepset_pair_out_of_range_rejected(self):
         seps = SepsetMap()
         record(seps, 0, 5, [])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import random_dag, true_skeleton_edges
+from oracles import random_dag, sepset_pairs, true_skeleton_edges
 from stablepc import (
     Dag,
     Dataset,
@@ -156,7 +156,7 @@ class TestDecideEdge:
         graph, seps, stats = skeleton_stable(None, _ByPairSum(), 6,
                                              SkeletonConfig(max_level=0))
         assert sorted(graph.edges()) == [tuple(r) for r in rows[kind != 1].tolist()]
-        assert seps.pair_array().tolist() == rows[kind == 1].tolist()
+        assert sepset_pairs(seps) == rows[kind == 1].tolist()
         assert (stats.levels[0].degenerate, stats.levels[0].removals) == \
             (int((kind == 0).sum()), int((kind == 1).sum()))
 
@@ -507,7 +507,7 @@ class TestSkeletonStable:
         suff = gaussian_case(5, p=14, n=200, density=0.3)
         reference = run_outputs(suff, FisherZTest(suff), suff.p,
                                 SkeletonConfig(num_workers=1))
-        searched = [pair for pair in reference[1].pair_array().tolist()
+        searched = [pair for pair in sepset_pairs(reference[1])
                     if reference[1].get_search(*pair) is not None]
         assert searched and reference[2].search_tests > 0
         for workers in (1, 2):
@@ -525,7 +525,7 @@ class TestSkeletonStable:
                                          SkeletonConfig(max_level=0))
         # 2 - 3 survives; the pairs of causes are searched at size 0 only
         assert seps.get_search(2, 3) is None
-        pairs = seps.pair_array().tolist()
+        pairs = sepset_pairs(seps)
         assert [seps.get_search(*pair) for pair in pairs] == [((),)] * 3
         assert stats.search_tests == 3
 

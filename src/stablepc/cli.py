@@ -7,8 +7,10 @@ memory-efficient comparison with a result-digest equality gate).
 ``skeleton``, ``pc``, ``pcsimple`` and ``ida`` are one command: each runs
 ``run_pipeline`` on the ingested input and writes the files it returns.
 ``bench`` times the same call per variant and digests those files, all but
-the wall-clock ``levelstats.json``.  Each flag's argparse ``dest`` is the name
-of its ``RunConfig`` field, and a flag left out keeps that field's default.
+the wall-clock ``levelstats.json``: ``result_digest`` hashes the text that
+``_write_json`` writes, so a digest stands for the files' exact bytes.  Each
+flag's argparse ``dest`` is the name of its ``RunConfig`` field, and a flag
+left out keeps that field's default.
 
 Exit codes: 0 success, 2 input validation or a file that cannot be read or
 written, 3 degenerate statistics, 4 result-equivalence violation in bench.
@@ -24,6 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -139,28 +142,30 @@ class RunConfig:
         )
 
 
-def _sepsets_json(obj: object) -> dict:
-    if isinstance(obj, SepsetMap):
-        return obj.to_json_dict()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _json_text(payload: object) -> Iterable[str]:
+    """The text of an output file: sorted keys, two-space indent, final
+    newline.  A ``SepsetMap`` gives that same text from its arrays, in
+    bounded pieces."""
+    if isinstance(payload, SepsetMap):
+        return payload.json_chunks()
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n",)
 
 
-def result_digest(payload: object) -> str:
-    """SHA-256 of the canonical JSON serialization of a result payload; a
-    ``SepsetMap`` in it stands for its ``to_json_dict()``."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           default=_sepsets_json)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def result_digest(files: dict[str, object]) -> str:
+    """SHA-256 of output files as written: each file's name, a NUL byte and
+    its text, the files in name order."""
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.encode("utf-8") + b"\0")
+        for piece in _json_text(files[name]):
+            digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _write_json(path: Path, payload: object) -> None:
-    """Sorted keys, two-space indent, final newline; a ``SepsetMap`` writes
-    that same text from its arrays, in bounded pieces."""
+    """Write the payload's text, the bytes ``result_digest`` hashes."""
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(payload, SepsetMap):
-            fh.writelines(payload.json_chunks())
-        else:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.writelines(_json_text(payload))
 
 
 def _outdir(cfg: RunConfig) -> Path:

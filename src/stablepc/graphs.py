@@ -119,7 +119,7 @@ class Cpdag:
 
     @classmethod
     def from_skeleton(cls, skel: SkeletonGraph) -> "Cpdag":
-        mark = np.where(skel.adj, TAIL, NO_END).astype(np.int8)
+        mark = np.where(skel.adj, np.int8(TAIL), np.int8(NO_END))
         return cls(skel.p, mark)
 
     def copy(self) -> "Cpdag":

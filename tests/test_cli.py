@@ -1,11 +1,14 @@
 """Tests for the command-line interface: commands, exit codes, determinism."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stablepc import Dag, cpdag_from_dag, linear_sem_population_cov, linear_sem_sample, write_csv
+from stablepc import (Dag, SepsetMap, cpdag_from_dag, linear_sem_population_cov,
+                      linear_sem_sample, write_csv)
 from stablepc.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -302,6 +305,45 @@ class TestBench:
             digest = result_digest({name: read_json(cmd_out / name) for name in names})
             assert {r["result_digest"] for r in rows if r["algorithm"] == algo} == \
                 {digest}, algo
+
+    def test_digest_hashes_the_written_bytes(self, tmp_path):
+        path, _ = chain_csv(tmp_path, n=600)
+        query = {"pc": [], "pcsimple": ["--target", "1"],
+                 "ida": ["--cause", "0", "--outcome", "2"]}
+        out = tmp_path / "bench"
+        assert run(["bench", "--input", str(path), "--output", str(out),
+                    "--algos", ",".join(query), *query["pcsimple"], *query["ida"],
+                    "--num-workers", "2"]) == EXIT_OK
+        rows = read_json(out / "bench.json")
+        for algo, flags in query.items():
+            cmd_out = tmp_path / algo
+            assert run([algo, "--input", str(path), "--output", str(cmd_out),
+                        *flags]) == EXIT_OK
+            sha = hashlib.sha256()
+            for name in sorted(f.name for f in cmd_out.iterdir()):
+                if name != "levelstats.json":
+                    sha.update(name.encode() + b"\0" + (cmd_out / name).read_bytes())
+            assert {r["result_digest"] for r in rows if r["algorithm"] == algo} == \
+                {sha.hexdigest()}, algo
+
+    def test_digest_of_a_wide_sepset_map_holds_no_pair_objects(self):
+        # 40 % of the pairs at p = 1000, empty sets: as Python objects the
+        # pairs would take tens of MiB
+        p = 1000
+        i, j = np.triu_indices(p, 1)
+        keep = np.random.default_rng(0).random(len(i)) < 0.4
+        seps = SepsetMap()
+        seps.set_many(np.column_stack([i[keep], j[keep]]), np.empty((keep.sum(), 0), int))
+        assert len(seps) > 190_000
+        tracemalloc.start()
+        try:
+            digest = result_digest({"sepsets.json": seps})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 << 20, peak
+        text = "".join(seps.json_chunks()).encode()
+        assert digest == hashlib.sha256(b"sepsets.json\0" + text).hexdigest()
 
     def test_generator_spec(self, tmp_path):
         # A zero density is a given value, not an absent one.

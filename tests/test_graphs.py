@@ -122,6 +122,21 @@ class TestCpdag:
         g.orient(2, 1)
         assert g.edge_records() == [[0, 1, "--"], [0, 2, "--"], [2, 1, "->"]]
 
+    def test_from_skeleton_builds_int8_marks_only(self):
+        # an int64 temporary of the marks would take 8 p² bytes on its own
+        p = 2000
+        upper = np.triu(np.random.default_rng(0).random((p, p)) < 0.001, 1)
+        skel = SkeletonGraph(p, upper | upper.T)
+        tracemalloc.start()
+        try:
+            g = Cpdag.from_skeleton(skel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.mark.dtype == np.int8
+        assert np.array_equal(g.mark, np.where(skel.adj, graphs.TAIL, graphs.NO_END))
+        assert peak <= 3 * p * p, peak
+
 
 def record(seps, i, j, sepset):
     """Record one pair's set as a one-row ``set_many``."""

@@ -5,18 +5,20 @@
 Run from anywhere; both checkouts are run from their own ``src/``.  The
 inputs are perfbench's gauss-wide (seed 42, Fisher z) and discrete-g2 (seed
 7, G² and χ²), generated once with ``perfbench/workloads.generate`` from
-this checkout.  On each input and test, both checkouts run ``pc`` with 1
-worker, with 2 workers, and with 2 workers under the workload's
-``--mem-budget``, and ``pcsimple`` with 2 workers on the true DAG's hub.
-Each ``--csv PATH --indep-test T`` pair adds ``pc`` with 1 worker on that
-CSV, such as the ROADMAP's G2000 and G4000.
+this checkout.  On each input and test, both checkouts run ``skeleton``
+with 1 worker, ``pc`` with 1 worker, with 2 workers, and with 2 workers
+under the workload's ``--mem-budget``, and ``pcsimple`` with 2 workers on
+the true DAG's hub.  On gauss-wide with Fisher z they also run ``ida`` with
+2 workers from the hub to its lowest-index true descendant.  Each ``--csv
+PATH --indep-test T`` pair adds ``pc`` with 1 worker on that CSV, such as
+the ROADMAP's G2000 and G4000.
 
-``skeleton.json``, ``sepsets.json``, ``cpdag.json`` and ``pcsimple.json``
-must match byte for byte, and ``levelstats.json`` as its ``[level, tests,
-removals]`` rows (its wall times differ from run to run).  Everything is
-written under a temporary directory, removed at the end.  One line per
-file pair goes to standard output; the exit status is 1 on any difference
-or failed command, else 0.
+``skeleton.json``, ``sepsets.json``, ``cpdag.json``, ``pcsimple.json`` and
+``ida.json`` must match byte for byte, and ``levelstats.json`` as its
+``[level, tests, removals]`` rows (its wall times differ from run to run).
+Everything is written under a temporary directory, removed at the end.  One
+line per file pair goes to standard output; the exit status is 1 on any
+difference or failed command, else 0.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from workloads import WORKLOADS, generate  # noqa: E402
 
 # (workload, sample seed, tests): the seeds are perfbench's defaults
 MATRIX = (("gauss-wide", 42, ("fisher-z",)), ("discrete-g2", 7, ("g-sq", "x-sq")))
-OUTPUTS = ("skeleton.json", "sepsets.json", "cpdag.json", "pcsimple.json", "levelstats.json")
+OUTPUTS = ("skeleton.json", "sepsets.json", "cpdag.json", "pcsimple.json", "ida.json",
+           "levelstats.json")
 
 
 def run_both(checkouts: dict[str, Path], args: list[str], outdir: Path) -> list[str]:
@@ -98,6 +101,8 @@ def main() -> int:
             for test in tests:
                 base = ["--input", str(inst.csv), "--indep-test", test]
                 runs += [
+                    (f"{name}/{test}/skeleton-1w",
+                     ["skeleton", *base, "--num-workers", "1"]),
                     (f"{name}/{test}/pc-1w", ["pc", *base, "--num-workers", "1"]),
                     (f"{name}/{test}/pc-2w", ["pc", *base, "--num-workers", "2"]),
                     (f"{name}/{test}/pc-2w-mem",
@@ -106,6 +111,10 @@ def main() -> int:
                     (f"{name}/{test}/pcsimple",
                      ["pcsimple", *base, "--num-workers", "2", "--target", str(inst.hub)]),
                 ]
+                if (name, test) == ("gauss-wide", "fisher-z"):
+                    runs.append((f"{name}/{test}/ida",
+                                 ["ida", *base, "--num-workers", "2", "--cause", str(inst.hub),
+                                  "--outcome", str(inst.ida_outcome)]))
         for csv, test in zip(args.csv, args.indep_test):
             runs.append((f"{csv}/{test}/pc-1w",
                          ["pc", "--input", str(csv.resolve()), "--indep-test", test,

@@ -4,13 +4,15 @@ Adjacency is stored dense (numpy matrices) because variable counts stay in
 the low thousands and the level-synchronized algorithm wants cheap
 whole-graph snapshots; the unshielded triples are enumerated in one place.
 Separating sets are not: the map keeps one table per set size, pair codes
-ascending, looked up by binary search, and each pair is written once.
+ascending, looked up by binary search, and each pair is written once.  Each
+container is sized by the variable count p it is built with.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +28,12 @@ JSON_CHUNK_ENTRIES = 1 << 15
 
 class GraphError(ValueError):
     pass
+
+
+def _check_indices(p: int, low: int, high: int) -> None:
+    """GraphError unless the indices from ``low`` to ``high`` lie in [0, p)."""
+    if low < 0 or high >= p:
+        raise GraphError(f"variable index {low if low < 0 else high} out of range [0, {p})")
 
 
 class SkeletonGraph:
@@ -45,13 +53,8 @@ class SkeletonGraph:
         self.p = p
         self.adj = adj
 
-    def _check(self, *vs: int) -> None:
-        for v in vs:
-            if not 0 <= v < self.p:
-                raise GraphError(f"variable index {v} out of range [0, {self.p})")
-
     def add_edge(self, i: int, j: int) -> None:
-        self._check(i, j)
+        _check_indices(self.p, min(i, j), max(i, j))
         if i == j:
             raise GraphError("no self loops")
         self.adj[i, j] = self.adj[j, i] = True
@@ -177,7 +180,7 @@ class Cpdag:
 
 
 class SepsetMap:
-    """Separating sets recorded for removed edges, keyed by unordered pair.
+    """Separating sets recorded for removed edges of p variables, by pair.
 
     Each removed edge has one first-found set, the one that removed it
     (``get``, ``set_sizes``, ``to_json_dict``), written once.  A pair may
@@ -191,16 +194,18 @@ class SepsetMap:
     pair codes ``i << 32 | j`` (i < j) ascending beside an (m, size) array
     of their sets.  The skeleton removes an edge at one level, with a set
     of that level's size, so each level's removals make one table.  Reads
-    look a pair up by ``searchsorted`` in each table.  ``largest_index`` is
-    the largest variable index of a recorded pair, -1 when there is none.
-    The search records are a dict: the search covers only the pairs that
-    share a neighbour in the final skeleton.
+    look a pair up by ``searchsorted`` in each table.  Both records reject
+    an index outside [0, p), and p is at most 2**31, so a code is unique
+    and a set fits int32.  The search records are a dict: the search covers
+    only the pairs that share a neighbour in the final skeleton.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, p: int) -> None:
+        if not 2 <= p <= 2**31:
+            raise GraphError(f"need between 2 and 2**31 variables, got {p}")
+        self.p = p
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._search: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-        self.largest_index = -1
 
     @staticmethod
     def _key(i: int, j: int) -> tuple[int, int]:
@@ -211,13 +216,12 @@ class SepsetMap:
     def _find(self, low: np.ndarray,
               high: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(sets, rows, found) per table: the row of each pair low[k] < high[k]
-        in that table, where ``found[k]``.  An index outside [0, 2**31) is
-        found nowhere, since its code could equal another pair's."""
+        in that table, where ``found[k]``.  A pair outside [0, p) is found
+        nowhere: a negative index makes a negative code."""
         wanted = (low.astype(np.int64) << 32) | high
-        valid = (low >= 0) & (high <= np.iinfo(np.int32).max)
         for codes, sets in self._tables.values():
             rows = np.searchsorted(codes, wanted)
-            found = valid & (rows < len(codes))
+            found = (high < self.p) & (rows < len(codes))
             found[found] = codes[rows[found]] == wanted[found]
             yield sets, rows, found
 
@@ -227,7 +231,8 @@ class SepsetMap:
         ``pairs`` is an (m, 2) array of distinct pairs and ``sepsets`` an
         (m, size) array, one level's removals.  A pair is recorded once: one
         named twice in the call, or already in the map, raises
-        ``GraphError`` and leaves the map as it was.
+        ``GraphError`` and leaves the map as it was, as an index outside
+        [0, p) does.
         """
         pairs, sepsets = np.asarray(pairs), np.asarray(sepsets)
         if (pairs.ndim != 2 or pairs.shape[1] != 2 or sepsets.ndim != 2
@@ -239,12 +244,8 @@ class SepsetMap:
         low, high = pairs.min(axis=1), pairs.max(axis=1)
         if (low == high).any():
             raise GraphError("sepset pair must be two distinct variables")
-        if low.min() < 0:
-            raise GraphError(f"variable index {low.min()} is negative")
-        largest = int(high.max())
-        if largest > np.iinfo(np.int32).max or (sepsets.size and (
-                sepsets.min() < 0 or sepsets.max() > np.iinfo(np.int32).max)):
-            raise GraphError("variable index out of the int32 range")
+        _check_indices(self.p, min(low.min(), sepsets.min(initial=0)),
+                       max(high.max(), sepsets.max(initial=0)))
         if (sepsets == low[:, None]).any() or (sepsets == high[:, None]).any():
             raise GraphError("separating set must exclude the pair itself")
         if any(found.any() for _, _, found in self._find(low, high)):
@@ -265,7 +266,6 @@ class SepsetMap:
             at = np.searchsorted(held, codes)
             codes, sepsets = np.insert(held, at, codes), np.insert(sets, at, sepsets, axis=0)
         self._tables[size] = codes, sepsets
-        self.largest_index = max(self.largest_index, largest)
 
     def get(self, i: int, j: int) -> tuple[int, ...] | None:
         a, b = self._key(i, j)
@@ -287,6 +287,8 @@ class SepsetMap:
         found = tuple(tuple(s) for s in sepsets)
         if any(i in s or j in s for s in found):
             raise GraphError("separating set must exclude the pair itself")
+        indices = (i, j, *chain.from_iterable(found))
+        _check_indices(self.p, min(indices), max(indices))
         self._search[self._key(i, j)] = found
 
     def get_search(self, i: int, j: int) -> tuple[tuple[int, ...], ...] | None:
@@ -298,6 +300,7 @@ class SepsetMap:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SepsetMap)
+                and self.p == other.p
                 and self._search == other._search
                 and self._tables.keys() == other._tables.keys()
                 and all(np.array_equal(a, b)
@@ -326,7 +329,7 @@ class SepsetMap:
         tables = list(self._tables.values())
         codes = np.concatenate([codes for codes, _ in tables])
         ends = np.cumsum([len(codes) for codes, _ in tables])
-        names = [str(v) for v in range(self.largest_index + 1)]
+        names = [str(v) for v in range(self.p)]
         rank = np.empty(len(names), dtype=np.int64)
         rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
         order = np.lexsort((rank[codes & 0xFFFFFFFF], rank[codes >> 32]))
@@ -439,9 +442,7 @@ def d_separated(dag: Dag, i: int, j: int, s: Iterable[int]) -> bool:
         raise GraphError("i and j must differ")
     if i in s or j in s:
         raise GraphError("conditioning set must exclude i and j")
-    for v in (i, j, *s):
-        if not 0 <= v < dag.p:
-            raise GraphError(f"variable index {v} out of range")
+    _check_indices(dag.p, min(i, j, *s), max(i, j, *s))
 
     # Ancestral closure of {i, j} | s.
     anc = set()

@@ -39,10 +39,11 @@ def orient_v_structures(skel: SkeletonGraph, seps: SepsetMap) -> Cpdag:
     at all, makes the triple ambiguous.  All collider arrows are collected
     first, and an edge that receives both directions stays undirected, so
     the result does not depend on the order triples are visited in.  The
-    returned CPDAG carries the ambiguous triples.
+    returned CPDAG carries the ambiguous triples.  A map sized for another
+    p than the skeleton's raises ``GraphError``.
     """
-    if seps.largest_index >= skel.p:
-        raise GraphError(f"variable index {seps.largest_index} out of range [0, {skel.p})")
+    if seps.p != skel.p:
+        raise GraphError(f"sepset map covers {seps.p} variables, skeleton {skel.p}")
     edges = np.argwhere(np.triu(skel.adj, 1))
     present = edges[seps.set_sizes(edges[:, 0], edges[:, 1]) >= 0]
     if len(present):

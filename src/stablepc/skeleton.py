@@ -359,8 +359,8 @@ def estimate_task_cost(level: int, suff: object) -> int:
 # over its own pipe.  Every slice travels in one format, ``(decide, rows)`` or
 # ``(decide, rows, shared)``: the client's module-level decide function
 # (pickled by reference), a contiguous block of the integer task rows
-# (``_packed``) and the level's shared snapshot, sent only when it differs
-# from the one the worker last received, so a worker's later slices of a
+# (``_packed``) and the level's shared snapshot, sent with a worker's first
+# slice of each dispatch and when it changes, so a worker's later slices of a
 # level carry rows alone.  A worker replies ``(True, blocks)``, the columns
 # of each block of the slice as ``_packed`` lists, or ``(False, error)``
 # when the slice raised.
@@ -430,8 +430,6 @@ class LevelExecutor:
         self.test = test
         self.peak_tasks_in_flight = 0
         self._workers: list[tuple[multiprocessing.Process, Connection]] = []
-        # the shared snapshot each worker holds, by its pipe
-        self._shared: dict[Connection, object] = {}
 
     def __enter__(self) -> "LevelExecutor":
         return self
@@ -440,7 +438,7 @@ class LevelExecutor:
         self.close()
 
     def close(self) -> None:
-        workers, self._workers, self._shared = self._workers, [], {}
+        workers, self._workers = self._workers, []
         for _, conn in workers:
             try:
                 conn.send(None)
@@ -470,20 +468,20 @@ class LevelExecutor:
         slice's block columns in submission order.  The payloads go out in
         order, each to the next idle worker, and a worker is idle again as
         soon as it replies, so only the last slices are waited for together.
-        A worker keeps the last ``shared`` object it was sent, and gets it
-        again only when another object comes, so ``shared`` must not change
-        in place."""
+        Each worker gets ``shared`` with its first slice of the call, so a
+        snapshot changed in place between calls reaches it afresh."""
         ready = [conn for _, conn in self._ensure_workers()]
         pending = iter(enumerate(payloads))
         busy: dict[Connection, int] = {}    # pipe -> the payload its worker holds
+        sent: dict[Connection, object] = {}     # pipe -> the shared it was sent
         results: list[list[tuple[np.ndarray, ...]]] = [[] for _ in payloads]
         try:
             while True:
                 for conn, (k, (decide, shared, rows)) in zip(ready, pending):
                     message = (decide, _packed((rows,)))
-                    if self._shared.get(conn) is not shared:
+                    if conn not in sent or sent[conn] is not shared:
                         message += (shared,)
-                        self._shared[conn] = shared
+                        sent[conn] = shared
                     conn.send(message)
                     busy[conn] = k
                 if not busy:
@@ -543,20 +541,16 @@ def stable_levels(ex: LevelExecutor, suff: object, adj: np.ndarray, edges: np.nd
     ``edges`` lists every edge of ``adj`` as (i, j), i < j, ascending.  Up to
     ``ex.cfg.max_level``, a level decides the edges with an endpoint of
     degree above the level against ``adj`` as the level found it (nothing
-    writes ``adj`` while ``run_level`` runs, and each level's ``shared`` is
-    a new tuple, so workers get it afresh), removes the accepted ones from
+    writes ``adj`` while ``run_level`` runs), removes the accepted ones from
     ``adj`` and yields the level, its edges and ``decide_edges``'s columns;
-    ``suff`` sizes the slices.  The next level's edges are the survivors:
+    ``suff`` sizes the slices.  The filter runs on each level's survivors,
+    not at level 0, where every edge gives both its ends degree 1 or more:
     an edge left out has both degrees at most the level, and degrees only
     fall.  Stops at the first level with no edge to test.
     """
     max_level = ex.cfg.max_level
     level = 0
-    while max_level is None or level <= max_level:
-        degree = np.bincount(edges.ravel(), minlength=len(adj))
-        edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
-        if not len(edges):
-            return
+    while len(edges) and (max_level is None or level <= max_level):
         decided = run_level(ex, decide_edges, (level, adj), edges,
                             estimate_task_cost(level, suff))
         found = decided[0]
@@ -566,6 +560,8 @@ def stable_levels(ex: LevelExecutor, suff: object, adj: np.ndarray, edges: np.nd
         yield level, edges, decided
         edges = edges[~found]
         level += 1
+        degree = np.bincount(edges.ravel(), minlength=len(adj))
+        edges = edges[(degree[edges[:, 0]] > level) | (degree[edges[:, 1]] > level)]
 
 
 def _suff_dim(suff: object) -> int | None:
@@ -604,7 +600,7 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
         raise ValueError(f"sufficient statistic covers {dim} variables, expected {p}")
 
     graph = complete_graph(p)
-    sepsets = SepsetMap()
+    sepsets = SepsetMap(p)
     level_rows: list[LevelStat] = []
     with LevelExecutor(cfg, test) as ex:
         started = time.perf_counter()

@@ -332,7 +332,7 @@ class TestBench:
         p = 1000
         i, j = np.triu_indices(p, 1)
         keep = np.random.default_rng(0).random(len(i)) < 0.4
-        seps = SepsetMap()
+        seps = SepsetMap(p)
         seps.set_many(np.column_stack([i[keep], j[keep]]), np.empty((keep.sum(), 0), int))
         assert len(seps) > 190_000
         tracemalloc.start()

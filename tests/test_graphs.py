@@ -145,21 +145,52 @@ def record(seps, i, j, sepset):
 
 class TestSepsetMap:
     def test_set_get(self):
-        m = SepsetMap()
+        m = SepsetMap(4)
         record(m, 3, 1, [2])
         assert m.get(1, 3) == (2,)
         assert m.get(3, 1) == (2,) and m.get(1, 2) is None
         assert sepset_pairs(m) == [[1, 3]]
 
     def test_rejects_pair_in_set(self):
-        m = SepsetMap()
+        m = SepsetMap(3)
         with pytest.raises(GraphError):
             record(m, 0, 1, [1])
 
     def test_json_shape(self):
-        m = SepsetMap()
+        m = SepsetMap(3)
         record(m, 0, 2, [1])
         assert m.to_json_dict() == {"0,2": [1]}
+
+    @pytest.mark.parametrize("p", [-1, 0, 1, 2**31 + 1, 2**40])
+    def test_size_outside_two_to_two_to_the_31_rejected(self, p):
+        with pytest.raises(GraphError, match="between 2 and 2"):
+            SepsetMap(p)
+
+    def test_sizes_at_the_bounds_and_equality_reads_p(self):
+        assert SepsetMap(2).p == 2 and SepsetMap(2**31).p == 2**31
+        assert SepsetMap(3) == SepsetMap(3) and SepsetMap(3) != SepsetMap(4)
+
+    def test_index_outside_p_rejected_and_the_map_kept(self):
+        m = SepsetMap(100)
+        record(m, 0, 1, [2])
+        m.set_search(3, 4, [(5,), ()])
+        before = m.to_json_dict()
+        for pairs, sets, bad in (([[1, 2**31 - 1]], [[0]], 2**31 - 1),
+                                 ([[1, 100]], [[0]], 100),
+                                 ([[-1, 5]], [[0]], -1),
+                                 ([[1, 5]], [[100]], 100),
+                                 ([[1, 5]], [[-3]], -3),
+                                 ([[1, 5], [2, 100]], [[0], [0]], 100)):
+            with pytest.raises(GraphError, match=rf"index {bad} out of range \[0, 100\)"):
+                m.set_many(np.array(pairs), np.array(sets))
+            assert m.to_json_dict() == before and len(m) == 1
+        for i, j, sets, bad in ((1, 2**31 - 1, [], 2**31 - 1), (1, 100, [(0,)], 100),
+                                (-1, 5, [], -1), (1, 5, [(100,)], 100),
+                                (1, 5, [(0,), (-2, 3)], -2)):
+            with pytest.raises(GraphError, match=rf"index {bad} out of range \[0, 100\)"):
+                m.set_search(i, j, sets)
+            assert m.get_search(i, j) is None
+        assert m.get_search(4, 3) == ((5,), ()) and m.to_json_dict() == before
 
 
 def random_removals(p, count, rng):
@@ -180,7 +211,7 @@ def filled_maps(p, count, seed):
     mixed: bulk adds of some sizes with one-row writes in between."""
     pairs, sets = random_removals(p, count, np.random.default_rng(seed))
     sizes = np.array([len(s) for s in sets])
-    single, bulk, mixed = SepsetMap(), SepsetMap(), SepsetMap()
+    single, bulk, mixed = SepsetMap(p), SepsetMap(p), SepsetMap(p)
     for (i, j), s in zip(pairs.tolist(), sets):
         record(single, j, i, s.tolist())
     for size in range(4):
@@ -221,11 +252,11 @@ class TestSepsetMapArrays:
                 assert "".join(seps.json_chunks()) == want
 
     def test_json_chunks_of_empty_map(self):
-        assert "".join(SepsetMap().json_chunks()) == \
+        assert "".join(SepsetMap(2).json_chunks()) == \
             json.dumps({}, sort_keys=True, indent=2) + "\n"
 
     def test_second_write_of_a_pair_raises_and_keeps_the_map(self):
-        m = SepsetMap()
+        m = SepsetMap(10)
         m.set_many(np.array([[0, 3], [1, 2]]), np.array([[1], [3]]))
         record(m, 4, 5, [])
         before = m.to_json_dict()
@@ -242,8 +273,9 @@ class TestSepsetMapArrays:
             [1, -1, -1, 0]
 
     def test_memory_follows_pairs_not_indices(self):
-        # a dense p x p index would need exabytes for these two pairs
-        m = SepsetMap()
+        # a dense p x p index would need exabytes for these two pairs; the
+        # map is never written out, since its text names every index
+        m = SepsetMap(2**31)
         record(m, 1, 50000, ())
         record(m, 2**31 - 1, 2, [5])
         assert sepset_pairs(m) == [[1, 50000], [2, 2**31 - 1]]
@@ -258,7 +290,7 @@ class TestSepsetMapArrays:
             record(m, 0, 2**31, ())
 
     def test_set_many_rejects_bad_rows_and_keeps_the_map(self):
-        m = SepsetMap()
+        m = SepsetMap(7)
         record(m, 0, 1, [2])
         before = m.to_json_dict()
         for pairs, sets in (([[0, 1], [1, 0]], [[2], [3]]),     # a pair twice

@@ -37,47 +37,55 @@ def skeleton_with(p, edges):
 class TestOrientVStructures:
     def test_collider_detected(self):
         skel = skeleton_with(3, [(0, 2), (1, 2)])
-        seps = SepsetMap()
+        seps = SepsetMap(3)
         record(seps, 0, 1, [])
         g = orient_v_structures(skel, seps)
         assert {(0, 2), (1, 2)} <= set(g.directed_edges())
 
     def test_chain_not_oriented(self):
         skel = skeleton_with(3, [(0, 1), (1, 2)])
-        seps = SepsetMap()
+        seps = SepsetMap(3)
         record(seps, 0, 2, [1])
         g = orient_v_structures(skel, seps)
         assert {(0, 1), (1, 2)} <= set(g.undirected_edges())
 
     def test_triangle_untouched(self):
         skel = complete_graph(3)
-        g = orient_v_structures(skel, SepsetMap())
+        g = orient_v_structures(skel, SepsetMap(3))
         assert g.undirected_edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_sepset_for_present_edge_rejected(self):
         skel = complete_graph(3)
-        seps = SepsetMap()
+        seps = SepsetMap(3)
         record(seps, 0, 1, [])
         with pytest.raises(GraphError, match="present edge"):
             orient_v_structures(skel, seps)
 
     def test_present_edge_named_is_the_smallest_across_tables(self):
         skel = complete_graph(6)
-        seps = SepsetMap()
+        seps = SepsetMap(6)
         seps.set_many(np.array([[4, 5], [3, 1]]), np.array([[0], [2]]))
         seps.set_many(np.array([[5, 2], [0, 4]]), np.array([[], []], dtype=np.int64))
         with pytest.raises(GraphError, match="present edge 0 - 4;"):
             orient_v_structures(skel, seps)
 
     def test_sepset_pair_out_of_range_rejected(self):
-        seps = SepsetMap()
+        seps = SepsetMap(3)
+        with pytest.raises(GraphError, match=r"variable index 5 out of range \[0, 3\)"):
+            record(seps, 0, 5, [])
+        seps = SepsetMap(6)
         record(seps, 0, 5, [])
-        with pytest.raises(GraphError, match="variable index 5 out of range"):
+        with pytest.raises(GraphError, match="sepset map covers 6 variables, skeleton 3"):
             orient_v_structures(skeleton_with(3, [(0, 1)]), seps)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_map_of_another_size_rejected(self, p):
+        with pytest.raises(GraphError, match=f"sepset map covers {p} variables, skeleton 3"):
+            orient_v_structures(skeleton_with(3, [(0, 2), (1, 2)]), SepsetMap(p))
 
     def test_missing_sepset_skips_triple(self):
         skel = skeleton_with(3, [(0, 2), (1, 2)])
-        g = orient_v_structures(skel, SepsetMap())
+        g = orient_v_structures(skel, SepsetMap(3))
         assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
 
     def test_conflict_resolved_by_last_writer(self):
@@ -86,7 +94,7 @@ class TestOrientVStructures:
         # rule that reads the data alone can prefer one arrow on 0-1: the
         # conflicting edge stays undirected, the uncontested arrows stand.
         skel = skeleton_with(4, [(0, 1), (1, 2), (0, 3)])
-        seps = SepsetMap()
+        seps = SepsetMap(4)
         record(seps, 0, 2, [])
         record(seps, 1, 3, [])
         record(seps, 2, 3, [0, 1])
@@ -101,7 +109,7 @@ class TestMajorityRule:
     # accepted sets for (0, 1) decide it, whatever the first-found set says
     def orient(self, searched, first=(2,)):
         skel = skeleton_with(5, [(0, 2), (1, 2)])
-        seps = SepsetMap()
+        seps = SepsetMap(5)
         record(seps, 0, 1, first)
         if searched is not None:
             seps.set_search(0, 1, searched)
@@ -251,7 +259,7 @@ class TestMeekAgainstDenseRounds:
         colliders, ties and conflicting arrows all occur."""
         upper = np.triu(rng.random((p, p)) < density, 1)
         skel = SkeletonGraph(p, upper | upper.T)
-        seps = SepsetMap()
+        seps = SepsetMap(p)
         for i, j in sorted({(i, j) for i, _, j in unshielded_triples_reference(skel)}):
             others = np.array([v for v in range(p) if v not in (i, j)])
             seps.set_search(i, j, [others[rng.random(len(others)) < 0.5].tolist()

@@ -244,6 +244,10 @@ def _exit_worker(shared, rows, test, alpha):
     os._exit(3)
 
 
+def _add_snapshot(shared, rows, test, alpha):
+    return (rows[:, 0] + shared[0],)
+
+
 def _meet_marker(shared, rows, test, alpha):
     """Row 5 creates the marker file ``shared`` names; row 0 waits up to
     10 s for it.  Per row: whether it saw the marker (only row 0 looks)."""
@@ -301,6 +305,18 @@ class TestRunLevelParallel:
                                (_echo_row, shared, rows[1:])])
             [[echoed]] = ex.map_slices([(_echo_row, shared, rows[:3])])
             assert same_columns(echoed, (rows[:3],))
+
+    def test_snapshot_changed_in_place_between_calls_reaches_workers(self):
+        rows = np.arange(6, dtype=np.int64)[:, None]
+        seen = {}
+        for workers in (1, 2):
+            snapshot = np.array([1])
+            with LevelExecutor(SkeletonConfig(num_workers=workers), None) as ex:
+                first, = run_level(ex, _add_snapshot, snapshot, rows, 64)
+                snapshot[0] = 5
+                second, = run_level(ex, _add_snapshot, snapshot, rows, 64)
+            seen[workers] = first.tolist(), second.tolist()
+        assert seen[2] == seen[1] == ([1, 2, 3, 4, 5, 6], [5, 6, 7, 8, 9, 10])
 
     def test_idle_worker_takes_next_slice(self, tmp_path):
         # one-row slices: row 0 holds its worker until row 5, four slices

@@ -3,15 +3,18 @@
     python3 tools/compare_outputs.py PARENT_CHECKOUT [--csv PATH --indep-test T ...]
 
 Run from anywhere; both checkouts are run from their own ``src/``.  The
-inputs are perfbench's gauss-wide (seed 42, Fisher z) and discrete-g2 (seed
-7, G² and χ²), generated once with ``perfbench/workloads.generate`` from
-this checkout.  On each input and test, both checkouts run ``skeleton``
-with 1 worker, ``pc`` with 1 worker, with 2 workers, and with 2 workers
-under the workload's ``--mem-budget``, and ``pcsimple`` with 2 workers on
-the true DAG's hub.  On gauss-wide with Fisher z they also run ``ida`` with
-2 workers from the hub to its lowest-index true descendant.  Each ``--csv
-PATH --indep-test T`` pair adds ``pc`` with 1 worker on that CSV, such as
-the ROADMAP's G2000 and G4000.
+inputs are perfbench's gauss-wide (seed 42, Fisher z and MI-G) and
+discrete-g2 (seed 7, G² and χ²), generated once with
+``perfbench/workloads.generate`` from this checkout.  On each input and
+test, both checkouts run ``skeleton`` with 1 worker, ``pc`` with 1 worker,
+with 2 workers, and with 2 workers under the workload's ``--mem-budget``,
+and ``pcsimple`` with 2 workers on the true DAG's hub.  On gauss-wide with
+Fisher z they also run ``ida`` with 2 workers from the hub to its
+lowest-index true descendant.  The oracle gets ``pc`` with 2 workers on
+gauss-wide's true DAG, written as ``truth.json``; discrete-g2's DAG is left
+out, as its d-separation tests take several times longer.  So every id of
+``TEST_IDS`` is compared.  Each ``--csv PATH --indep-test T`` pair adds
+``pc`` with 1 worker on that CSV, such as the ROADMAP's G2000 and G4000.
 
 ``skeleton.json``, ``sepsets.json``, ``cpdag.json``, ``pcsimple.json`` and
 ``ida.json`` must match byte for byte, and ``levelstats.json`` as its
@@ -37,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from workloads import WORKLOADS, generate  # noqa: E402
 
 # (workload, sample seed, tests): the seeds are perfbench's defaults
-MATRIX = (("gauss-wide", 42, ("fisher-z",)), ("discrete-g2", 7, ("g-sq", "x-sq")))
+MATRIX = (("gauss-wide", 42, ("fisher-z", "mi-g")), ("discrete-g2", 7, ("g-sq", "x-sq")))
 OUTPUTS = ("skeleton.json", "sepsets.json", "cpdag.json", "pcsimple.json", "ida.json",
            "levelstats.json")
 
@@ -115,6 +118,12 @@ def main() -> int:
                     runs.append((f"{name}/{test}/ida",
                                  ["ida", *base, "--num-workers", "2", "--cause", str(inst.hub),
                                   "--outcome", str(inst.ida_outcome)]))
+            if name == "gauss-wide":
+                truth = work / "truth.json"
+                truth.write_text(json.dumps(inst.dag.to_json_dict()))
+                runs.append((f"{name}/oracle/pc-2w",
+                             ["pc", "--input", str(truth), "--indep-test", "oracle",
+                              "--num-workers", "2"]))
         for csv, test in zip(args.csv, args.indep_test):
             runs.append((f"{csv}/{test}/pc-1w",
                          ["pc", "--input", str(csv.resolve()), "--indep-test", test,

@@ -2,7 +2,8 @@
 
 Adjacency is stored dense (numpy matrices) because variable counts stay in
 the low thousands and the level-synchronized algorithm wants cheap
-whole-graph snapshots; the unshielded triples are enumerated in one place.
+whole-graph snapshots; each edge or neighbour query reads one mask of the
+matrix, and the unshielded triples are enumerated in one place.
 Separating sets are not: the map keeps one table per set size, pair codes
 ascending, looked up by binary search, and each pair is written once.  Each
 container is sized by the variable count p it is built with.
@@ -36,6 +37,11 @@ def _check_indices(p: int, low: int, high: int) -> None:
         raise GraphError(f"variable index {low if low < 0 else high} out of range [0, {p})")
 
 
+def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The (i, j) where ``mask`` holds, in row-major order."""
+    return list(map(tuple, np.argwhere(mask).tolist()))
+
+
 class SkeletonGraph:
     """Symmetric boolean adjacency over p variables, no self loops."""
 
@@ -53,12 +59,6 @@ class SkeletonGraph:
         self.p = p
         self.adj = adj
 
-    def add_edge(self, i: int, j: int) -> None:
-        _check_indices(self.p, min(i, j), max(i, j))
-        if i == j:
-            raise GraphError("no self loops")
-        self.adj[i, j] = self.adj[j, i] = True
-
     def unshielded_triples(self) -> np.ndarray:
         """Rows (i, k, j), ascending, of the paths i - k - j with i < j not
         adjacent; built per vertex, so no scratch exceeds a neighbourhood squared."""
@@ -70,11 +70,9 @@ class SkeletonGraph:
         triples = np.concatenate(found)
         return triples[np.lexsort(triples.T[::-1])]
 
-    def edges(self) -> Iterator[tuple[int, int]]:
+    def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, in ascending order."""
-        for i in range(self.p):
-            for j in np.flatnonzero(self.adj[i, i + 1:]):
-                yield i, int(j) + i + 1
+        return _pairs(np.triu(self.adj, 1))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SkeletonGraph)
@@ -140,28 +138,16 @@ class Cpdag:
 
     def parents(self, v: int) -> list[int]:
         """Nodes u with u -> v."""
-        return [u for u in np.flatnonzero(self.mark[:, v] == ARROW).tolist()
-                if self.mark[v, u] == TAIL]
+        return np.flatnonzero((self.mark[:, v] == ARROW) & (self.mark[v] == TAIL)).tolist()
 
     def undirected_neighbors(self, v: int) -> list[int]:
-        return [u for u in np.flatnonzero(self.mark[v] == TAIL).tolist()
-                if self.mark[u, v] == TAIL]
+        return np.flatnonzero((self.mark[v] == TAIL) & (self.mark[:, v] == TAIL)).tolist()
 
     def directed_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.p):
-            for j in np.flatnonzero(self.mark[i] == ARROW).tolist():
-                if self.mark[j, i] == TAIL:
-                    out.append((i, j))
-        return out
+        return _pairs((self.mark == ARROW) & (self.mark.T == TAIL))
 
     def undirected_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.p):
-            for j in np.flatnonzero(self.mark[i] == TAIL).tolist():
-                if j > i and self.mark[j, i] == TAIL:
-                    out.append((i, j))
-        return out
+        return _pairs(np.triu((self.mark == TAIL) & (self.mark.T == TAIL), 1))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Cpdag)
@@ -169,11 +155,13 @@ class Cpdag:
                 and np.array_equal(self.mark, other.mark))
 
     def edge_records(self) -> list[list]:
-        """Sorted edge triples [i, j, "--"|"->"], undirected with i < j."""
-        records = [[i, j, "--"] for i, j in self.undirected_edges()]
-        records += [[i, j, "->"] for i, j in self.directed_edges()]
-        records.sort(key=lambda e: (e[0], e[1], e[2]))
-        return records
+        """Sorted edge triples [i, j, "--"|"->"], undirected with i < j: a
+        pair has one record at most, so row-major order is sorted order."""
+        tails = self.mark.T == TAIL
+        arrows = (self.mark == ARROW) & tails
+        i, j = np.nonzero(arrows | np.triu((self.mark == TAIL) & tails, 1))
+        return [[a, b, ("--", "->")[arrow]]
+                for a, b, arrow in zip(i.tolist(), j.tolist(), arrows[i, j].tolist())]
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "edges": self.edge_records()}
@@ -418,10 +406,10 @@ class Dag:
         return out
 
     def skeleton(self) -> SkeletonGraph:
-        g = SkeletonGraph(self.p)
-        for u, v in self.edges():
-            g.add_edge(u, v)
-        return g
+        adj = np.zeros((self.p, self.p), dtype=bool)
+        for v, ps in enumerate(self.parents):
+            adj[list(ps), v] = True
+        return SkeletonGraph(self.p, adj | adj.T)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Dag) and self.p == other.p and self.parents == other.parents

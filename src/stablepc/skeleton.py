@@ -21,11 +21,13 @@ A ``decide`` function returns its block's decisions as a tuple of arrays
 with one entry per row, and ``run_level`` concatenates each array once over
 the level's blocks, so no Python object is built per edge.  A level decides
 a block in rounds: each round evaluates the next conditioning set of every
-undecided edge with one call of the test's batched ``pvalues``.  At level 0
+undecided edge with one call of the test's batched ``pvalues`` and updates
+each of the block's result arrays in one masked statement.  At level 0
 every edge has the one set (), so a block is one ``pvalues`` call and one
 comparison.  The search evaluates all sets of one size of a block's pairs
-together.  A test without ``pvalues`` is called once per set through
-``_scalar_pvalues``, in the same rounds.
+together and counts each pair's tests with one ``bincount``.  A test
+without ``pvalues`` is called once per set through ``_scalar_pvalues``, in
+the same rounds.
 
 A level's rows are cut into contiguous slices, one per worker, or smaller
 under a byte budget so a run on a memory-constrained machine does not hold
@@ -162,18 +164,18 @@ def _pvalues(test: CiTest) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.
 
 def _test_sets(pvalues: Callable, rows: np.ndarray,
                drawn: Iterable[tuple[int, tuple[int, ...]]],
-               size: int) -> Iterator[tuple[tuple[int, tuple[int, ...]], float]]:
+               size: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Test each (k, set) of ``drawn`` for the pair in ``rows[k, :2]``.
 
-    Yields ((k, set), p) in the order drawn; ``pvalues`` gets one call per
-    ``MAX_BLOCK_ROWS`` sets, all of size ``size``.
+    Yields arrays (ks, sets, p) per ``pvalues`` call, in the order drawn;
+    a call gets at most ``MAX_BLOCK_ROWS`` sets, all of size ``size``.
     """
     drawn = iter(drawn)
     while chunk := list(islice(drawn, MAX_BLOCK_ROWS)):
         ks, subs = zip(*chunk)
-        pairs = rows.take(ks, axis=0)
-        s = np.array(subs, dtype=np.int64).reshape(len(chunk), size)
-        yield from zip(chunk, pvalues(pairs[:, 0], pairs[:, 1], s).tolist())
+        ks = np.array(ks, dtype=np.intp)
+        sets = np.array(subs, dtype=np.int64).reshape(len(ks), size)
+        yield ks, sets, pvalues(rows[ks, 0], rows[ks, 1], sets)
 
 
 def _pair_sets(side_i: tuple[int, ...], side_j: tuple[int, ...],
@@ -208,9 +210,10 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
     holds edges (i, j), i < j.  An edge's sets of the level's size come from
     i's neighbourhood minus j in lexicographic order, then from j's minus i,
     skipping sets already covered by i's side.  Round t tests the t-th set
-    of every edge still undecided, in one ``pvalues`` call, so each edge
-    runs exactly the tests a set-by-set loop would; at level 0 every edge
-    has the one set (), and one call and one comparison decide the block.
+    of every edge still undecided, in one ``pvalues`` call, and updates each
+    result array in one masked statement, so each edge runs exactly the
+    tests a set-by-set loop would; at level 0 every edge has the one set (),
+    and one call and one comparison decide the block.
     A degenerate set (NaN) counts as dependence and enumeration continues.
 
     Returns five arrays with one entry per edge: whether a set accepted, the
@@ -233,27 +236,23 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
             for i, j in rows.tolist()]
     found = np.zeros(m, dtype=bool)
     accepted = np.zeros((m, level), dtype=np.int64)
-    tests = [0] * m
-    degenerate = [0] * m
-    largest = [math.nan] * m
+    tests = np.zeros(m, dtype=np.int64)
+    degenerate = np.zeros(m, dtype=np.int64)
+    largest = np.full(m, np.nan)
     undecided = range(m)
     while undecided:
         drawn = [(k, sub) for k in undecided
                  if (sub := next(sets[k], None)) is not None]
         undecided = []
-        for (k, sub), p in _test_sets(pvalues, rows, drawn, level):
-            tests[k] += 1
-            if p > alpha:
-                found[k] = True
-                accepted[k] = sub
-                continue
-            undecided.append(k)
-            if math.isnan(p):
-                degenerate[k] += 1
-            elif math.isnan(largest[k]) or p > largest[k]:
-                largest[k] = p
-    return (found, accepted, np.array(tests, dtype=np.int64),
-            np.array(degenerate, dtype=np.int64), np.array(largest))
+        for ks, subs, p in _test_sets(pvalues, rows, drawn, level):
+            yes = p > alpha
+            found[ks] = yes
+            accepted[ks[yes]] = subs[yes]
+            tests[ks] += 1
+            degenerate[ks] += np.isnan(p)
+            largest[ks] = np.fmax(largest[ks], np.where(yes, np.nan, p))
+            undecided += ks[~yes].tolist()
+    return found, accepted, tests, degenerate, largest
 
 
 def _search_pairs(adj: np.ndarray, rows: np.ndarray, test: CiTest,
@@ -270,18 +269,16 @@ def _search_pairs(adj: np.ndarray, rows: np.ndarray, test: CiTest,
     nbrs = _neighbours(adj, rows)
     pairs = rows.tolist()
     found: list[list[tuple[int, ...]]] = [[] for _ in pairs]
-    tests = [0] * len(pairs)
+    tests = np.zeros(len(pairs), dtype=np.int64)
     sizes = range(int(rows[:, 2].min(initial=0)), int(rows[:, 3].max(initial=-1)) + 1)
     for size in sizes:
-        for (k, sub), p in _test_sets(pvalues, rows, _sets_of_size(pairs, nbrs, size),
+        for ks, subs, p in _test_sets(pvalues, rows, _sets_of_size(pairs, nbrs, size),
                                       size):
-            tests[k] += 1
-            if p > alpha:
-                found[k].append(sub)
-    accepted = np.empty(len(pairs), dtype=object)
-    for k, sets in enumerate(found):
-        accepted[k] = tuple(sets)
-    return accepted, np.array(tests, dtype=np.int64)
+            tests += np.bincount(ks, minlength=len(pairs))
+            yes = p > alpha
+            for k, sub in zip(ks[yes].tolist(), subs[yes].tolist()):
+                found[k].append(tuple(sub))
+    return np.fromiter(map(tuple, found), dtype=object, count=len(found)), tests
 
 
 def _sets_of_size(pairs: list[list[int]], nbrs: dict[int, tuple[int, ...]],

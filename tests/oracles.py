@@ -10,15 +10,17 @@ code, which its kernel must match bit for bit: one submatrix inversion per
 call for the Gaussian tests, one full contingency table per call for the
 discrete ones (which are also checked by dict counting over the observed
 strata only).  The graph steps keep theirs too: unshielded triples by a
-loop over each vertex's neighbour pairs, and Meek proposals read from the
-whole mark matrix.
+loop over each vertex's neighbour pairs, Meek proposals read from the
+whole mark matrix, and the containers' edge and neighbour queries by loops
+over rows.  So does the level engine: a level's rounds and the search's
+tally by one Python update per tested set.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import mpmath
 import numpy as np
@@ -27,7 +29,9 @@ from scipy.special import gammaincc
 from stablepc import (Cpdag, Dag, DegenerateConditioningError, DiscreteSuffStat,
                       GaussianSuffStat, GraphError, SkeletonGraph)
 from stablepc.graphs import ARROW, NO_END, TAIL
+from stablepc import skeleton
 from stablepc.orientation import _derives
+from stablepc.skeleton import _neighbours, _pair_sets, _pvalues, _sets_of_size, _without
 
 mpmath.mp.dps = 50
 
@@ -219,6 +223,119 @@ def meek_proposals_dense(g: Cpdag) -> set[tuple[int, int]]:
                   for row in (g.mark == TAIL) & tail_back]
     return {(a, b) for a in range(g.p) for b in undirected[a]
             if _derives(a, b, adj, parents, undirected, g.ambiguous)}
+
+
+def skeleton_edges_reference(g: SkeletonGraph) -> list[tuple[int, int]]:
+    """``SkeletonGraph.edges`` as the library's former row loop."""
+    def edges():
+        for i in range(g.p):
+            for j in np.flatnonzero(g.adj[i, i + 1:]):
+                yield i, int(j) + i + 1
+    return list(edges())
+
+
+def parents_reference(g: Cpdag, v: int) -> list[int]:
+    return [u for u in np.flatnonzero(g.mark[:, v] == ARROW).tolist()
+            if g.mark[v, u] == TAIL]
+
+
+def undirected_neighbors_reference(g: Cpdag, v: int) -> list[int]:
+    return [u for u in np.flatnonzero(g.mark[v] == TAIL).tolist()
+            if g.mark[u, v] == TAIL]
+
+
+def directed_edges_reference(g: Cpdag) -> list[tuple[int, int]]:
+    out = []
+    for i in range(g.p):
+        for j in np.flatnonzero(g.mark[i] == ARROW).tolist():
+            if g.mark[j, i] == TAIL:
+                out.append((i, j))
+    return out
+
+
+def undirected_edges_reference(g: Cpdag) -> list[tuple[int, int]]:
+    out = []
+    for i in range(g.p):
+        for j in np.flatnonzero(g.mark[i] == TAIL).tolist():
+            if j > i and g.mark[j, i] == TAIL:
+                out.append((i, j))
+    return out
+
+
+def edge_records_reference(g: Cpdag) -> list[list]:
+    """``Cpdag.edge_records`` as the library's former sort of both lists."""
+    records = [[i, j, "--"] for i, j in undirected_edges_reference(g)]
+    records += [[i, j, "->"] for i, j in directed_edges_reference(g)]
+    records.sort(key=lambda e: (e[0], e[1], e[2]))
+    return records
+
+
+def _test_sets_one_by_one(pvalues, rows: np.ndarray, drawn, size: int):
+    """The library's former set tester: ((k, set), p) one at a time, in the
+    order drawn, from one ``pvalues`` call per ``MAX_BLOCK_ROWS`` sets."""
+    drawn = iter(drawn)
+    while chunk := list(islice(drawn, skeleton.MAX_BLOCK_ROWS)):
+        ks, subs = zip(*chunk)
+        pairs = rows.take(ks, axis=0)
+        s = np.array(subs, dtype=np.int64).reshape(len(chunk), size)
+        yield from zip(chunk, pvalues(pairs[:, 0], pairs[:, 1], s).tolist())
+
+
+def decide_edges_per_set(shared: tuple[int, np.ndarray], rows: np.ndarray, test,
+                         alpha: float) -> tuple[np.ndarray, ...]:
+    """``decide_edges`` at a level of 1 or more as the library's former
+    round loop, which updates an edge's five results once per tested set."""
+    level, adj = shared
+    pvalues = _pvalues(test)
+    m = len(rows)
+    nbrs = _neighbours(adj, rows)
+    sets = [_pair_sets(_without(nbrs[i], j), _without(nbrs[j], i), level)
+            for i, j in rows.tolist()]
+    found = np.zeros(m, dtype=bool)
+    accepted = np.zeros((m, level), dtype=np.int64)
+    tests = [0] * m
+    degenerate = [0] * m
+    largest = [math.nan] * m
+    undecided = range(m)
+    while undecided:
+        drawn = [(k, sub) for k in undecided
+                 if (sub := next(sets[k], None)) is not None]
+        undecided = []
+        for (k, sub), p in _test_sets_one_by_one(pvalues, rows, drawn, level):
+            tests[k] += 1
+            if p > alpha:
+                found[k] = True
+                accepted[k] = sub
+                continue
+            undecided.append(k)
+            if math.isnan(p):
+                degenerate[k] += 1
+            elif math.isnan(largest[k]) or p > largest[k]:
+                largest[k] = p
+    return (found, accepted, np.array(tests, dtype=np.int64),
+            np.array(degenerate, dtype=np.int64), np.array(largest))
+
+
+def search_pairs_per_set(adj: np.ndarray, rows: np.ndarray, test,
+                         alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_search_pairs`` as the library's former tally, one Python update
+    per tested set."""
+    pvalues = _pvalues(test)
+    nbrs = _neighbours(adj, rows)
+    pairs = rows.tolist()
+    found: list[list[tuple[int, ...]]] = [[] for _ in pairs]
+    tests = [0] * len(pairs)
+    sizes = range(int(rows[:, 2].min(initial=0)), int(rows[:, 3].max(initial=-1)) + 1)
+    for size in sizes:
+        for (k, sub), p in _test_sets_one_by_one(
+                pvalues, rows, _sets_of_size(pairs, nbrs, size), size):
+            tests[k] += 1
+            if p > alpha:
+                found[k].append(sub)
+    accepted = np.empty(len(pairs), dtype=object)
+    for k, sets in enumerate(found):
+        accepted[k] = tuple(sets)
+    return accepted, np.array(tests, dtype=np.int64)
 
 
 def pcor_residuals(data: np.ndarray, i: int, j: int, s) -> float:

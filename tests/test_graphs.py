@@ -49,15 +49,14 @@ class TestSkeletonGraph:
     def test_symmetry_audit_after_mutations(self):
         g = complete_graph(5)
         g.adj[1, 3] = g.adj[3, 1] = g.adj[4, 0] = g.adj[0, 4] = False
-        g.add_edge(1, 3)
+        g.adj[1, 3] = g.adj[3, 1] = True
         assert np.array_equal(g.adj, g.adj.T)
         assert g.adj[3, 1] and not g.adj[0, 4]
 
     def test_unshielded_triples_match_the_pair_loop(self):
         rng = np.random.default_rng(16)
         star = SkeletonGraph(7)
-        for leaf in range(1, 7):
-            star.add_edge(0, leaf)
+        star.adj[0, 1:] = star.adj[1:, 0] = True
         graphs = [star, complete_graph(9)]
         for p in (2, 3, 10, 40, 120):
             for density in (0, 0.05, 0.3, 0.8, 1):
@@ -92,7 +91,7 @@ class TestSkeletonGraph:
                                           [1, 3, "--"], [2, 3, "--"]]}
         back = SkeletonGraph(data["p"])
         for i, j, _ in data["edges"]:
-            back.add_edge(i, j)
+            back.adj[i, j] = back.adj[j, i] = True
         assert back == g
 
 
@@ -323,6 +322,13 @@ class TestDag:
     def test_skeleton(self):
         dag = Dag(3, [[], [0], [1]])
         assert sorted(dag.skeleton().edges()) == [(0, 1), (1, 2)]
+
+    def test_skeleton_joins_each_parent_to_its_child(self):
+        rng = np.random.default_rng(20)
+        for p in (2, 5, 30):
+            dag = random_dag(p, 0.3, rng)
+            assert dag.skeleton().edges() == \
+                sorted((min(u, v), max(u, v)) for u, v in dag.edges())
 
     def test_json_round_trip(self):
         dag = Dag(4, [[], [0], [0, 1], [2]])

@@ -34,7 +34,7 @@ from stablepc.skeleton import estimate_task_cost
 def undirected(p, edges):
     g = SkeletonGraph(p)
     for i, j in edges:
-        g.add_edge(i, j)
+        g.adj[i, j] = g.adj[j, i] = True
     return Cpdag.from_skeleton(g)
 
 

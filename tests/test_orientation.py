@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import (equivalence_class_cpdag, meek_proposals_dense, random_dag,
-                     unshielded_triples_reference, validate_cpdag)
+from oracles import (directed_edges_reference, edge_records_reference,
+                     equivalence_class_cpdag, meek_proposals_dense, parents_reference,
+                     random_dag, skeleton_edges_reference, undirected_edges_reference,
+                     undirected_neighbors_reference, unshielded_triples_reference,
+                     validate_cpdag)
 from stablepc import (
     Cpdag,
     Dag,
@@ -30,7 +33,7 @@ def record(seps, i, j, sepset):
 def skeleton_with(p, edges):
     g = SkeletonGraph(p)
     for i, j in edges:
-        g.add_edge(i, j)
+        g.adj[i, j] = g.adj[j, i] = True
     return g
 
 
@@ -287,6 +290,38 @@ class TestMeekAgainstDenseRounds:
                     g.orient(a, b)
             assert np.array_equal(g.mark, closed.mark), trial
         assert ambiguous and cancelled and later_rounds
+
+
+def typed(value):
+    """``value`` with each element's type beside it, all the way down."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(v) for v in value]
+    return type(value), value
+
+
+class TestQueriesAgainstRowLoops:
+    def test_masks_answer_as_the_row_loops(self):
+        # the containers' queries read masks; the former per-row loops are
+        # the reference, order and element types included
+        rng = np.random.default_rng(20)
+        arrows = lines = 0
+        for p in (2, 3, 10, 60):
+            for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+                voted = TestMeekAgainstDenseRounds.voted_cpdag(p, density, rng)
+                for g in (voted, meek_closure(voted)):
+                    skel = SkeletonGraph(p, g.mark != 0)
+                    assert typed(skel.edges()) == typed(skeleton_edges_reference(skel))
+                    assert typed(g.directed_edges()) == typed(directed_edges_reference(g))
+                    assert typed(g.undirected_edges()) == \
+                        typed(undirected_edges_reference(g))
+                    assert typed(g.edge_records()) == typed(edge_records_reference(g))
+                    for v in range(p):
+                        assert typed(g.parents(v)) == typed(parents_reference(g, v))
+                        assert typed(g.undirected_neighbors(v)) == \
+                            typed(undirected_neighbors_reference(g, v))
+                    arrows += len(g.directed_edges())
+                    lines += len(g.undirected_edges())
+        assert arrows and lines
 
 
 class TestCpdagFromDag:

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import random_dag, sepset_pairs, true_skeleton_edges
+from oracles import (decide_edges_per_set, random_dag, search_pairs_per_set,
+                     sepset_pairs, true_skeleton_edges)
 from stablepc import (
     Dag,
     Dataset,
@@ -435,6 +436,74 @@ class TestBatchedPath:
                         assert got == reference
                         assert list(got.p_values.items()) == \
                             list(reference.p_values.items())
+
+
+@dataclass(frozen=True)
+class _ByRowHash:
+    """A batched-only stub: a hash of each row's pair and set picks a
+    degenerate set (NaN), an accepting p-value, or one of several rejecting
+    ones, alpha itself among them."""
+
+    def pvalues(self, i, j, s):
+        weights = 4 * np.arange(s.shape[1]) + 3
+        h = (7 * np.asarray(i) + 13 * np.asarray(j) + s @ weights) % 12
+        return np.array([np.nan, 0.5, 0.01, 0.0, *np.linspace(0.001, 0.009, 8)])[h]
+
+
+def random_snapshot(rng, p):
+    """A random level 1-3 snapshot over p variables, a block of 1-300 of
+    its edges, and non-adjacent pairs with set-size ranges for the search."""
+    upper = np.triu(rng.random((p, p)) < rng.uniform(0.15, 0.6), 1)
+    upper[0, 1] = True                  # at least one edge
+    adj = upper | upper.T
+    edges = np.argwhere(upper)
+    picked = rng.choice(len(edges), size=min(len(edges), int(rng.integers(1, 301))),
+                        replace=False)
+    pairs = np.argwhere(np.triu(~adj, 1))
+    pairs = pairs[rng.random(len(pairs)) < 0.1]
+    low = rng.integers(0, 3, size=len(pairs))
+    search = np.column_stack([pairs, low, low + rng.integers(-1, 3, size=len(pairs))])
+    return (int(rng.integers(1, 4)), adj), edges[np.sort(picked)], search
+
+
+class TestRoundsAgainstPerSetLoop:
+    """A level's rounds and the search's tally update whole arrays; the
+    former loops, one Python update per tested set, are the reference.  No
+    output file holds ``degenerate`` or the search's test counts, so only
+    this comparison sees them."""
+
+    def cases(self):
+        rng = np.random.default_rng(20)
+        for trial in range(32):
+            p = int(rng.integers(8, 41))
+            if trial % 2:
+                yield _ByRowHash(), random_snapshot(rng, p)
+            else:
+                suff = duplicated_column_case(seed=trial, p=p)
+                yield FisherZTest(suff), random_snapshot(rng, suff.p)
+
+    def test_level_columns_match(self):
+        seen = np.zeros(5, dtype=np.int64)
+        for test, (shared, rows, _) in self.cases():
+            got = decide_edges(shared, rows, test, 0.01)
+            want = decide_edges_per_set(shared, rows, test, 0.01)
+            assert [c.dtype for c in got] == [c.dtype for c in want]
+            assert same_columns(got, want)      # largest: NaN equal to NaN
+            found, _, tests, degenerate, largest = want
+            seen += [found.any(), (~found).any(), tests.max() > 1, degenerate.any(),
+                     np.isfinite(largest).any()]
+        assert seen.min() > 0, seen
+
+    def test_search_sets_and_tests_match(self):
+        accepted_sets = tests_run = 0
+        for test, ((_, adj), _, rows) in self.cases():
+            got = skeleton._search_pairs(adj, rows, test, 0.01)
+            want = search_pairs_per_set(adj, rows, test, 0.01)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+            accepted_sets += sum(map(len, want[0]))
+            tests_run += int(want[1].sum())
+        assert accepted_sets and tests_run > accepted_sets
 
 
 class TestSkeletonStable:

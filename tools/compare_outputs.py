@@ -7,8 +7,9 @@ inputs are perfbench's gauss-wide (seed 42, Fisher z and MI-G) and
 discrete-g2 (seed 7, G² and χ²), generated once with
 ``perfbench/workloads.generate`` from this checkout.  On each input and
 test, both checkouts run ``skeleton`` with 1 worker, ``pc`` with 1 worker,
-with 2 workers, and with 2 workers under the workload's ``--mem-budget``,
-and ``pcsimple`` with 2 workers on the true DAG's hub.  On gauss-wide with
+with 2 workers, with 2 workers under the workload's ``--mem-budget``, and
+with 1 worker at ``--max-level 1``, which caps the levels and the search's
+set sizes, and ``pcsimple`` with 2 workers on the true DAG's hub.  On gauss-wide with
 Fisher z they also run ``ida`` with 2 workers from the hub to its
 lowest-index true descendant.  The oracle gets ``pc`` with 2 workers on
 gauss-wide's true DAG, written as ``truth.json``; discrete-g2's DAG is left
@@ -111,6 +112,8 @@ def main() -> int:
                     (f"{name}/{test}/pc-2w-mem",
                      ["pc", *base, "--num-workers", "2", "--mem-efficient",
                       "--mem-budget", str(workload.mem_budget)]),
+                    (f"{name}/{test}/pc-1w-max-level-1",
+                     ["pc", *base, "--num-workers", "1", "--max-level", "1"]),
                     (f"{name}/{test}/pcsimple",
                      ["pcsimple", *base, "--num-workers", "2", "--target", str(inst.hub)]),
                 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,6 +34,15 @@ def _check_indices(p: int, low: int, high: int) -> None:
     """GraphError unless the indices from ``low`` to ``high`` lie in [0, p)."""
     if low < 0 or high >= p:
         raise GraphError(f"variable index {low if low < 0 else high} out of range [0, {p})")
+
+
+def lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each ``wanted`` key in the ascending ``keys``, and
+    whether it is there."""
+    rows = np.searchsorted(keys, wanted)
+    found = rows < len(keys)
+    found[found] = keys[rows[found]] == wanted[found]
+    return rows, found
 
 
 def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -171,21 +179,22 @@ class SepsetMap:
     """Separating sets recorded for removed edges of p variables, by pair.
 
     Each removed edge has one first-found set, the one that removed it
-    (``get``, ``set_sizes``, ``to_json_dict``), written once.  A pair may
-    also carry the result of the separating-set search on the final
-    skeleton: every set that search accepted, possibly none
-    (``set_search``, ``get_search``).  Orientation votes over the search
-    result where there is one.  Equality compares both records.
+    (``set_sizes``, ``to_json_dict``), written once.  Each unshielded
+    triple i - k - j may also carry the vote of the separating-set search
+    on the final skeleton: how many sets accepted (i, j), and how many of
+    them hold k (``set_votes``, one call, and ``votes``).  Orientation reads
+    the vote where there is one.  Equality compares both records.
 
-    The first-found sets live in arrays, with no object per pair, and take
-    memory in proportion to the pairs recorded: one table per set size, the
-    pair codes ``i << 32 | j`` (i < j) ascending beside an (m, size) array
-    of their sets.  The skeleton removes an edge at one level, with a set
-    of that level's size, so each level's removals make one table.  Reads
-    look a pair up by ``searchsorted`` in each table.  Both records reject
-    an index outside [0, p), and p is at most 2**31, so a code is unique
-    and a set fits int32.  The search records are a dict: the search covers
-    only the pairs that share a neighbour in the final skeleton.
+    Both live in arrays, with no object per pair, and take memory in
+    proportion to what is recorded.  The first-found sets are one table per
+    set size: the pair codes ``i << 32 | j`` (i < j) ascending beside an
+    (m, size) array of their sets.  The skeleton removes an edge at one
+    level, with a set of that level's size, so each level's removals make
+    one table.  The votes are the codes of the voted pairs, ascending, and
+    per triple a key ``rank * p + k`` (rank: its pair's place among those
+    codes) ascending beside the two counts.  Reads look up by
+    ``searchsorted``.  Both records reject an index outside [0, p), and p
+    is at most 2**31, so a code is unique and a set fits int32.
     """
 
     def __init__(self, p: int) -> None:
@@ -193,13 +202,8 @@ class SepsetMap:
             raise GraphError(f"need between 2 and 2**31 variables, got {p}")
         self.p = p
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._search: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-    @staticmethod
-    def _key(i: int, j: int) -> tuple[int, int]:
-        if i == j:
-            raise GraphError("sepset pair must be two distinct variables")
-        return (i, j) if i < j else (j, i)
+        # pair codes, triple keys, inside and total counts
+        self._votes = tuple(np.empty(0, dtype=np.int64) for _ in range(4))
 
     def _find(self, low: np.ndarray,
               high: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -208,10 +212,8 @@ class SepsetMap:
         nowhere: a negative index makes a negative code."""
         wanted = (low.astype(np.int64) << 32) | high
         for codes, sets in self._tables.values():
-            rows = np.searchsorted(codes, wanted)
-            found = (high < self.p) & (rows < len(codes))
-            found[found] = codes[rows[found]] == wanted[found]
-            yield sets, rows, found
+            rows, found = lookup(codes, wanted)
+            yield sets, rows, found & (high < self.p)
 
     def set_many(self, pairs: np.ndarray, sepsets: np.ndarray) -> None:
         """Record one set per row: ``sepsets[k]`` for the pair ``pairs[k]``.
@@ -255,13 +257,6 @@ class SepsetMap:
             codes, sepsets = np.insert(held, at, codes), np.insert(sets, at, sepsets, axis=0)
         self._tables[size] = codes, sepsets
 
-    def get(self, i: int, j: int) -> tuple[int, ...] | None:
-        a, b = self._key(i, j)
-        for sets, rows, found in self._find(np.array([a]), np.array([b])):
-            if found[0]:
-                return tuple(sets[rows[0]].tolist())
-        return None
-
     def set_sizes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The size of each pair (i[k], j[k])'s set, -1 where it has none."""
         out = np.full(len(i), -1, dtype=np.int64)
@@ -269,19 +264,60 @@ class SepsetMap:
             out[found] = sets.shape[1]
         return out
 
-    def set_search(self, i: int, j: int,
-                   sepsets: Iterable[Iterable[int]]) -> None:
-        """Record every set the final search accepted for (i, j)."""
-        found = tuple(tuple(s) for s in sepsets)
-        if any(i in s or j in s for s in found):
-            raise GraphError("separating set must exclude the pair itself")
-        indices = (i, j, *chain.from_iterable(found))
-        _check_indices(self.p, min(indices), max(indices))
-        self._search[self._key(i, j)] = found
+    def set_votes(self, triples: np.ndarray, inside: np.ndarray,
+                  total: np.ndarray) -> None:
+        """Record the search's vote on each triple ``triples[k]`` = (i, k, j),
+        i < j: ``total[k]`` sets accepted (i, j), ``inside[k]`` of them hold k.
 
-    def get_search(self, i: int, j: int) -> tuple[tuple[int, ...], ...] | None:
-        """The search's accepted sets, or None when (i, j) was not searched."""
-        return self._search.get(self._key(i, j))
+        The votes are written in one call, each triple once: a triple named
+        twice, or a map that already holds votes, raises ``GraphError`` and
+        leaves the map as it was, as do an index outside [0, p), i >= j, a
+        middle equal to an end, an ``inside`` outside [0, total] and arrays
+        of different lengths.
+        """
+        triples, inside, total = (np.asarray(a, dtype=np.int64)
+                                  for a in (triples, inside, total))
+        if (triples.ndim != 2 or triples.shape[1] != 3
+                or inside.shape != (len(triples),) or total.shape != inside.shape):
+            raise GraphError("set_votes needs an (m, 3) triple array and two "
+                             "length-m count arrays")
+        i, k, j = triples.T
+        _check_indices(self.p, triples.min(initial=0), triples.max(initial=0))
+        if (i >= j).any():
+            raise GraphError("a voted triple (i, k, j) needs i < j")
+        if ((k == i) | (k == j)).any():
+            raise GraphError("a voted triple's middle must differ from its ends")
+        if ((inside < 0) | (inside > total)).any():
+            raise GraphError("a triple's inside count must lie in [0, total]")
+        codes = (i << 32) | j
+        order = np.lexsort((k, codes))
+        codes, k = codes[order], k[order]
+        if ((codes[1:] == codes[:-1]) & (k[1:] == k[:-1])).any():
+            raise GraphError("set_votes names a triple twice")
+        if len(self._votes[1]):
+            raise GraphError("the map already holds votes")
+        pairs, rank = np.unique(codes, return_inverse=True)
+        self._votes = pairs, rank * self.p + k, inside[order], total[order]
+
+    def votes(self, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(inside, total) per triple (i, k, j): its recorded vote; else the
+        one vote of the pair's first-found set, total 1 and inside whether
+        the set holds k; else (0, 0).  An index outside [0, p) raises
+        ``GraphError``."""
+        triples = np.asarray(triples, dtype=np.int64)
+        _check_indices(self.p, triples.min(initial=0), triples.max(initial=0))
+        i, k, j = triples.T
+        low, high = np.minimum(i, j), np.maximum(i, j)
+        inside, total = np.zeros((2, len(triples)), dtype=np.int64)
+        for sets, rows, found in self._find(low, high):
+            total[found] = 1
+            inside[found] = (sets[rows[found]] == k[found, None]).any(axis=1)
+        pairs, keys, held_inside, held_total = self._votes
+        rank, paired = lookup(pairs, (low << 32) | high)
+        rows, voted = lookup(keys, rank * self.p + k)
+        voted &= paired
+        inside[voted], total[voted] = held_inside[rows[voted]], held_total[rows[voted]]
+        return inside, total
 
     def __len__(self) -> int:
         return sum(len(codes) for codes, _ in self._tables.values())
@@ -289,7 +325,7 @@ class SepsetMap:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SepsetMap)
                 and self.p == other.p
-                and self._search == other._search
+                and all(map(np.array_equal, self._votes, other._votes))
                 and self._tables.keys() == other._tables.keys()
                 and all(np.array_equal(a, b)
                         for size, table in self._tables.items()

@@ -1,11 +1,12 @@
 """Skeleton-to-CPDAG orientation: v-structures from sepsets, then closure.
 
 Both passes give the same CPDAG under any relabelling of the variables.
-Each unshielded triple is decided by a majority vote over the separating
-sets the skeleton's final search accepted; an edge that receives opposite
-arrows stays undirected; Meek's rules run in synchronous rounds over the
-present edges' marks, and opposite proposals cancel.  Orientation is cheap
-next to CI testing and runs single-threaded.
+Each unshielded triple i - k - j is decided by a majority vote over the
+separating sets the skeleton's final search accepted, read from the map as
+two counts: how many sets accepted (i, j), and how many of them hold k.  An
+edge that receives opposite arrows stays undirected; Meek's rules run in
+synchronous rounds over the present edges' marks, and opposite proposals
+cancel.  Orientation is cheap next to CI testing and runs single-threaded.
 """
 
 from __future__ import annotations
@@ -21,24 +22,17 @@ def _triple(x: int, k: int, y: int) -> tuple[int, int, int]:
     return (x, k, y) if x < y else (y, k, x)
 
 
-def _separating_sets(seps: SepsetMap, i: int, j: int) -> tuple[tuple[int, ...], ...]:
-    searched = seps.get_search(i, j)
-    if searched is not None:
-        return searched
-    first = seps.get(i, j)
-    return () if first is None else (first,)
-
-
 def orient_v_structures(skel: SkeletonGraph, seps: SepsetMap) -> Cpdag:
     """Orient the unshielded triples i - k - j by the majority rule.
 
     The separating sets of (i, j) are those the skeleton's final search
-    accepted; a pair it never searched (a hand-built map, exact sets) falls
-    back to its single recorded set.  k in fewer than half of them makes
-    i -> k <- j; in more than half, a non-collider; exactly half, or no set
-    at all, makes the triple ambiguous.  All collider arrows are collected
-    first, and an edge that receives both directions stays undirected, so
-    the result does not depend on the order triples are visited in.  The
+    accepted, read as the triple's vote (``SepsetMap.votes``); a triple
+    without one (a hand-built map, exact sets) falls back to its pair's
+    single recorded set.  k in fewer than half of them makes i -> k <- j;
+    in more than half, a non-collider; exactly half, or no set at all,
+    makes the triple ambiguous.  All collider arrows are collected first,
+    and an edge that receives both directions stays undirected, so the
+    result does not depend on the order triples are visited in.  The
     returned CPDAG carries the ambiguous triples.  A map sized for another
     p than the skeleton's raises ``GraphError``.
     """
@@ -52,18 +46,12 @@ def orient_v_structures(skel: SkeletonGraph, seps: SepsetMap) -> Cpdag:
             f"sepset recorded for present edge {a} - {b}; "
             "sepsets must only cover removed edges"
         )
-    arrows: set[tuple[int, int]] = set()
-    ambiguous: set[tuple[int, int, int]] = set()
-    for i, k, j in skel.unshielded_triples().tolist():
-        sets = _separating_sets(seps, i, j)
-        votes = 2 * sum(k in s for s in sets)
-        if votes < len(sets):
-            arrows.add((i, k))
-            arrows.add((j, k))
-        elif votes == len(sets):
-            ambiguous.add((i, k, j))
+    triples = skel.unshielded_triples()
+    inside, total = seps.votes(triples)
+    colliders = triples[2 * inside < total]
+    arrows = set(map(tuple, np.concatenate([colliders[:, :2], colliders[:, [2, 1]]]).tolist()))
     g = Cpdag.from_skeleton(skel)
-    g.ambiguous = frozenset(ambiguous)
+    g.ambiguous = frozenset(map(tuple, triples[2 * inside == total].tolist()))
     for a, b in arrows:
         if (b, a) not in arrows:
             g.orient(a, b)

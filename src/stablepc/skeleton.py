@@ -17,17 +17,18 @@ any slicing produce results identical to the sequential run.  The
 engine has two ``decide`` functions: ``decide_edges`` for the levels and
 ``_search_pairs`` for the separating-set search after the last level.
 
-A ``decide`` function returns its block's decisions as a tuple of arrays
-with one entry per row, and ``run_level`` concatenates each array once over
-the level's blocks, so no Python object is built per edge.  A level decides
-a block in rounds: each round evaluates the next conditioning set of every
-undecided edge with one call of the test's batched ``pvalues`` and updates
-each of the block's result arrays in one masked statement.  At level 0
-every edge has the one set (), so a block is one ``pvalues`` call and one
-comparison.  The search evaluates all sets of one size of a block's pairs
-together and counts each pair's tests with one ``bincount``.  A test
-without ``pvalues`` is called once per set through ``_scalar_pvalues``, in
-the same rounds.
+A ``decide`` function returns its block's decisions as a tuple of numeric
+arrays in row order, one entry per row (per common neighbour of each pair
+in the search's ``inside``), and ``run_level`` concatenates each array once
+over the level's blocks, so no Python object is built per edge.  A level
+decides a block in rounds: each round evaluates the next conditioning set
+of every undecided edge with one call of the test's batched ``pvalues`` and
+updates each of the block's result arrays in one masked statement.  At
+level 0 every edge has the one set (), so a block is one ``pvalues`` call
+and one comparison.  The search evaluates all sets of one size of a
+block's pairs together and counts them with ``bincount``.  A test without
+``pvalues`` is called once per set through ``_scalar_pvalues``, in the
+same rounds.
 
 A level's rows are cut into contiguous slices, one per worker, or smaller
 under a byte budget so a run on a memory-constrained machine does not hold
@@ -36,9 +37,9 @@ replies, so the level end is the only barrier.  Slice boundaries never
 influence results, only scheduling.
 
 After the last level, the separating-set search on the final skeleton
-records, for every non-adjacent pair that shares a neighbour, every accepting
-set drawn from the pair's final neighbourhoods.  Orientation votes over what
-it finds.
+counts, for every non-adjacent pair that shares a neighbour, the accepting
+sets drawn from the pair's final neighbourhoods, and how many of them hold
+each common neighbour of the pair: the votes orientation reads.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 
 from .citests import CiTest, DegenerateConditioningError
 from .data import DiscreteSuffStat
-from .graphs import SepsetMap, SkeletonGraph, complete_graph
+from .graphs import SepsetMap, SkeletonGraph, complete_graph, lookup
 
 DEFAULT_MEM_BUDGET_BYTES = 512 * 1024 * 1024
 
@@ -256,29 +257,34 @@ def decide_edges(shared: tuple[int, np.ndarray], rows: np.ndarray, test: CiTest,
 
 
 def _search_pairs(adj: np.ndarray, rows: np.ndarray, test: CiTest,
-                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every accepting set of each non-adjacent pair, and the tests run.
+                  alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The votes of each non-adjacent pair's accepting sets, and the tests run.
 
     ``adj`` is the final adjacency matrix; ``rows`` holds (i, j, min_size,
     max_size).  Each size enumerates like ``decide_edges``, over the pair's
     full neighbourhoods, and the sets of one size of every pair in the block
     are tested together.  A degenerate set does not accept.  Returns per
-    pair the tuple of accepting sets (an object array) and the tests run.
+    pair the number of accepting sets and the tests run, and ``inside``:
+    per common neighbour k of each pair, pairs in row order and k
+    ascending, how many of the pair's accepting sets hold k.
     """
     pvalues = _pvalues(test)
     nbrs = _neighbours(adj, rows)
     pairs = rows.tolist()
-    found: list[list[tuple[int, ...]]] = [[] for _ in pairs]
-    tests = np.zeros(len(pairs), dtype=np.int64)
+    common = np.fromiter((r * len(adj) + k for r, (i, j, _, _) in enumerate(pairs)
+                          for k in sorted(set(nbrs[i]).intersection(nbrs[j]))), dtype=np.int64)
+    total, tests = np.zeros((2, len(pairs)), dtype=np.int64)
+    inside = np.zeros(len(common), dtype=np.int64)
     sizes = range(int(rows[:, 2].min(initial=0)), int(rows[:, 3].max(initial=-1)) + 1)
     for size in sizes:
         for ks, subs, p in _test_sets(pvalues, rows, _sets_of_size(pairs, nbrs, size),
                                       size):
             tests += np.bincount(ks, minlength=len(pairs))
             yes = p > alpha
-            for k, sub in zip(ks[yes].tolist(), subs[yes].tolist()):
-                found[k].append(tuple(sub))
-    return np.fromiter(map(tuple, found), dtype=object, count=len(found)), tests
+            total += np.bincount(ks[yes], minlength=len(pairs))
+            at, held = lookup(common, (ks[yes, None] * len(adj) + subs[yes]).ravel())
+            inside += np.bincount(at[held], minlength=len(common))
+    return total, tests, inside
 
 
 def _sets_of_size(pairs: list[list[int]], nbrs: dict[int, tuple[int, ...]],
@@ -290,22 +296,26 @@ def _sets_of_size(pairs: list[list[int]], nbrs: dict[int, tuple[int, ...]],
                 yield k, sub
 
 
-def _search_rows(graph: SkeletonGraph, sepsets: SepsetMap,
-                 max_level: int | None) -> np.ndarray:
-    """One row (i, j, min_size, max_size) per non-adjacent pair (i < j)
-    sharing a neighbour, ascending: the ends of the unshielded triples.
+def _search_rows(graph: SkeletonGraph, sepsets: SepsetMap, max_level: int | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unshielded triples (i, k, j) sorted by (i, j, k); one row (i, j,
+    min_size, max_size) per non-adjacent pair (i < j) sharing a neighbour,
+    ascending: their ends; and the row of each triple's pair.  So the
+    triples are in the order of ``_search_pairs``' ``inside`` column.
 
     Sizes below the removal level need no test: while the edge was present
     the skeleton tested and rejected every such subset of these (then
     larger) neighbourhoods.
     """
-    pairs = np.unique(graph.unshielded_triples()[:, [0, 2]], axis=0)
+    triples = graph.unshielded_triples()
+    triples = triples[np.lexsort(triples.T[[1, 2, 0]])]
+    pairs, pair = np.unique(triples[:, [0, 2]], axis=0, return_inverse=True)
     degree = graph.adj.sum(axis=1)
     top = np.maximum(degree[pairs[:, 0]], degree[pairs[:, 1]])
     if max_level is not None:
         top = np.minimum(top, max_level)
     low = sepsets.set_sizes(pairs[:, 0], pairs[:, 1])
-    return np.column_stack([pairs, low, top]).astype(np.int64)
+    return triples, np.column_stack([pairs, low, top]).astype(np.int64), pair.ravel()
 
 
 def probe_free_memory() -> int | None:
@@ -359,8 +369,8 @@ def estimate_task_cost(level: int, suff: object) -> int:
 # (``_packed``) and the level's shared snapshot, sent with a worker's first
 # slice of each dispatch and when it changes, so a worker's later slices of a
 # level carry rows alone.  A worker replies ``(True, blocks)``, the columns
-# of each block of the slice as ``_packed`` lists, or ``(False, error)``
-# when the slice raised.
+# of each block of the slice as ``_packed`` lists (every column, the
+# search's too, is numeric), or ``(False, error)`` when the slice raised.
 
 Decide = Callable[[object, np.ndarray, CiTest, float], tuple[np.ndarray, ...]]
 
@@ -374,17 +384,14 @@ def _decide_blocks(decide: Decide, shared: object, rows: np.ndarray, test: CiTes
 
 
 def _packed(columns: tuple[np.ndarray, ...]) -> list:
-    """A block's columns for the pipe: a numeric column as (dtype, shape,
-    bytes), which pickles several times faster than a small array, an
-    object column as it is."""
-    return [c if c.dtype.hasobject else (c.dtype.str, c.shape, c.tobytes())
-            for c in columns]
+    """A block's columns for the pipe as (dtype, shape, bytes), which
+    pickles several times faster than a small array."""
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in columns]
 
 
 def _unpacked(packed: list) -> tuple[np.ndarray, ...]:
     """The columns that ``_packed`` took apart."""
-    return tuple(c if isinstance(c, np.ndarray) else np.ndarray(c[1], c[0], c[2])
-                 for c in packed)
+    return tuple(np.ndarray(shape, dtype, data) for dtype, shape, data in packed)
 
 
 def _worker_loop(conn: Connection, test: CiTest, alpha: float) -> None:
@@ -502,8 +509,10 @@ def run_level(ex: LevelExecutor, decide: Decide, shared: object, rows: np.ndarra
 
     ``decide(shared, rows, test, alpha)`` must be a module-level function so
     that workers can unpickle it; it gets a contiguous block of at most
-    ``MAX_BLOCK_ROWS`` rows and returns a tuple of arrays (its columns) with
-    one entry per row, each depending on its row and ``shared`` alone.  The
+    ``MAX_BLOCK_ROWS`` rows and returns a tuple of numeric arrays (its
+    columns) with entries in row order, one per row or, in a ragged column
+    such as the search's ``inside``, any number per row, each depending on
+    its row and ``shared`` alone.  The
     m rows are cut into contiguous slices of ceil(m / W) rows for W workers;
     under a byte budget a slice holds at most the tasks of ``per_task_cost``
     bytes each that a worker's share of the budget covers, and at least one.
@@ -584,11 +593,13 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
     A final phase searches the finished skeleton: for each non-adjacent pair
     that shares a neighbour it tests every distinct subset of the pair's
     final neighbourhoods with sizes from the removal level up to the larger
-    neighbourhood (capped at ``cfg.max_level``), and records all accepting
-    sets with ``SepsetMap.set_search``.  It runs on the same executor and
-    slicing as a level.  Its tests (``LevelStats.search_tests``) usually
-    add a few per cent to the level tests, but grow exponentially with the
-    final degree.  The first-found sets are left as they are.
+    neighbourhood (capped at ``cfg.max_level``), and records each unshielded
+    triple's vote with ``SepsetMap.set_votes``: how many sets accepted its
+    ends, and how many of them hold its middle.  It runs on the same
+    executor and slicing as a level.  Its tests
+    (``LevelStats.search_tests``) usually add a few per cent to the level
+    tests, but grow exponentially with the final degree.  The first-found
+    sets are left as they are.
     """
     if p < 2:
         raise ValueError(f"need at least two variables, got {p}")
@@ -613,10 +624,9 @@ def skeleton_stable(suff: object, test: CiTest, p: int,
             ))
             started = time.perf_counter()
 
-        rows = _search_rows(graph, sepsets, cfg.max_level)
+        triples, rows, pair = _search_rows(graph, sepsets, cfg.max_level)
         cost = estimate_task_cost(int(rows[:, 3].max(initial=0)), suff)
-        searched, search_tests = run_level(ex, _search_pairs, graph.adj, rows, cost)
-        for (i, j), sets in zip(rows[:, :2].tolist(), searched):
-            sepsets.set_search(i, j, sets)
+        total, search_tests, inside = run_level(ex, _search_pairs, graph.adj, rows, cost)
+        sepsets.set_votes(triples, inside, total[pair])
     return graph, sepsets, LevelStats(tuple(level_rows), ex.peak_tasks_in_flight,
                                       int(search_tests.sum()))

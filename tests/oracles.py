@@ -206,6 +206,15 @@ def unshielded_triples_reference(skel: SkeletonGraph) -> list[tuple[int, int, in
     return sorted(out)
 
 
+def first_found(seps, i: int, j: int) -> tuple[int, ...] | None:
+    """The first-found set of (i, j), given in either order, or None: the
+    library's former ``SepsetMap.get``, one lookup in each table."""
+    for sets, rows, found in seps._find(np.array([min(i, j)]), np.array([max(i, j)])):
+        if found[0]:
+            return tuple(sets[rows[0]].tolist())
+    return None
+
+
 def sepset_pairs(seps) -> list[list[int]]:
     """The pairs [i, j], i < j, that have a first-found set, ascending, read
     from the map's JSON keys."""
@@ -336,6 +345,28 @@ def search_pairs_per_set(adj: np.ndarray, rows: np.ndarray, test,
     for k, sets in enumerate(found):
         accepted[k] = tuple(sets)
     return accepted, np.array(tests, dtype=np.int64)
+
+
+def votes_of(triples, sets_of_pair) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, total) per triple (i, k, j): how many of the sets
+    ``sets_of_pair[i, j]`` hold k, and how many there are."""
+    inside = [sum(k in s for s in sets_of_pair[i, j]) for i, k, j in triples]
+    total = [len(sets_of_pair[i, j]) for i, _, j in triples]
+    return np.array(inside, dtype=np.int64), np.array(total, dtype=np.int64)
+
+
+def search_votes_per_set(adj: np.ndarray, rows: np.ndarray, test,
+                         alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_search_pairs``' columns from ``search_pairs_per_set``'s sets: per
+    pair the accepting sets and the tests, and per common neighbour k of
+    each pair, pairs in row order and k ascending, the sets that hold k."""
+    accepted, tests = search_pairs_per_set(adj, rows, test, alpha)
+    pairs = [tuple(pair) for pair in rows[:, :2].tolist()]
+    triples = [(i, k, j) for i, j in pairs
+               for k in sorted(set(np.flatnonzero(adj[i]).tolist())
+                               & set(np.flatnonzero(adj[j]).tolist()))]
+    inside, _ = votes_of(triples, dict(zip(pairs, accepted)))
+    return np.array([len(sets) for sets in accepted], dtype=np.int64), tests, inside
 
 
 def pcor_residuals(data: np.ndarray, i: int, j: int, s) -> float:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (dsep_paths, random_dag, sepset_pairs, unshielded_triples_reference,
-                     validate_cpdag)
+from oracles import (dsep_paths, first_found, random_dag, sepset_pairs,
+                     unshielded_triples_reference, validate_cpdag)
 from stablepc import (
     Cpdag,
     Dag,
@@ -146,8 +146,8 @@ class TestSepsetMap:
     def test_set_get(self):
         m = SepsetMap(4)
         record(m, 3, 1, [2])
-        assert m.get(1, 3) == (2,)
-        assert m.get(3, 1) == (2,) and m.get(1, 2) is None
+        assert first_found(m, 1, 3) == (2,)
+        assert first_found(m, 3, 1) == (2,) and first_found(m, 1, 2) is None
         assert sepset_pairs(m) == [[1, 3]]
 
     def test_rejects_pair_in_set(self):
@@ -172,8 +172,11 @@ class TestSepsetMap:
     def test_index_outside_p_rejected_and_the_map_kept(self):
         m = SepsetMap(100)
         record(m, 0, 1, [2])
-        m.set_search(3, 4, [(5,), ()])
+        m.set_votes(np.array([[3, 5, 4]]), [1], [2])
         before = m.to_json_dict()
+        held = np.array([[3, 5, 4], [0, 2, 1], [1, 0, 5]])
+        votes = [c.tolist() for c in m.votes(held)]
+        assert votes == [[1, 1, 0], [2, 1, 0]]
         for pairs, sets, bad in (([[1, 2**31 - 1]], [[0]], 2**31 - 1),
                                  ([[1, 100]], [[0]], 100),
                                  ([[-1, 5]], [[0]], -1),
@@ -183,13 +186,77 @@ class TestSepsetMap:
             with pytest.raises(GraphError, match=rf"index {bad} out of range \[0, 100\)"):
                 m.set_many(np.array(pairs), np.array(sets))
             assert m.to_json_dict() == before and len(m) == 1
-        for i, j, sets, bad in ((1, 2**31 - 1, [], 2**31 - 1), (1, 100, [(0,)], 100),
-                                (-1, 5, [], -1), (1, 5, [(100,)], 100),
-                                (1, 5, [(0,), (-2, 3)], -2)):
+        for triples, bad in (([[1, 0, 2**31 - 1]], 2**31 - 1), ([[1, 0, 100]], 100),
+                             ([[-1, 0, 5]], -1), ([[1, 100, 5]], 100),
+                             ([[1, 0, 5], [1, -2, 3]], -2)):
             with pytest.raises(GraphError, match=rf"index {bad} out of range \[0, 100\)"):
-                m.set_search(i, j, sets)
-            assert m.get_search(i, j) is None
-        assert m.get_search(4, 3) == ((5,), ()) and m.to_json_dict() == before
+                m.set_votes(np.array(triples), [0] * len(triples), [1] * len(triples))
+            assert [c.tolist() for c in m.votes(held)] == votes
+        assert m.to_json_dict() == before
+
+
+class TestSepsetMapVotes:
+    """The search's votes: one write per triple, read with the pair's
+    first-found set as the fallback."""
+
+    @staticmethod
+    def voted_map(voted=True):
+        m = SepsetMap(8)
+        record(m, 0, 1, [2])
+        record(m, 3, 4, [])
+        if voted:
+            m.set_votes(np.array([[0, 5, 1], [2, 3, 6]]), [1, 0], [3, 2])
+        return m
+
+    @pytest.mark.parametrize("triples, inside, total, problem", [
+        ([[0, 2, 8]], [0], [1], r"index 8 out of range \[0, 8\)"),
+        ([[1, -1, 3]], [0], [1], r"index -1 out of range \[0, 8\)"),
+        ([[3, 2, 1]], [0], [1], "needs i < j"),
+        ([[2, 1, 2]], [0], [1], "needs i < j"),
+        ([[1, 1, 3]], [0], [1], "middle must differ"),
+        ([[1, 3, 3]], [0], [1], "middle must differ"),
+        ([[1, 2, 3]], [-1], [1], r"inside count must lie in \[0, total\]"),
+        ([[1, 2, 3]], [2], [1], r"inside count must lie in \[0, total\]"),
+        ([[1, 2, 3], [1, 4, 3]], [0], [1, 1], "length-m count arrays"),
+        ([[1, 2, 3]], [0, 0], [1], "length-m count arrays"),
+        ([[1, 2, 3]], [0], [[1]], "length-m count arrays"),
+        ([1, 2, 3], [0], [1], r"\(m, 3\) triple array"),
+        ([[1, 2, 3], [4, 5, 6], [1, 2, 3]], [0, 0, 0], [1, 1, 1], "a triple twice"),
+    ])
+    def test_bad_votes_rejected_and_the_map_kept(self, triples, inside, total, problem):
+        m = self.voted_map(voted=False)
+        with pytest.raises(GraphError, match=problem):
+            m.set_votes(np.array(triples), np.array(inside), np.array(total))
+        assert m == self.voted_map(voted=False)
+
+    def test_second_write_rejected_and_the_map_kept(self):
+        m = self.voted_map()
+        for triples in ([[1, 2, 3]], [[0, 5, 1]], np.empty((0, 3))):
+            with pytest.raises(GraphError, match="already holds votes"):
+                m.set_votes(np.array(triples), [0] * len(triples), [0] * len(triples))
+            assert m == self.voted_map()
+
+    def test_votes_fall_back_to_the_first_found_set(self):
+        inside, total = self.voted_map().votes(np.array(
+            [[0, 5, 1], [1, 5, 0], [2, 3, 6],   # voted, in either order
+             [0, 2, 1], [0, 3, 1], [3, 0, 4],   # first-found (2,) and ()
+             [2, 5, 6], [1, 0, 2]]))            # neither
+        assert inside.tolist() == [1, 1, 0, 1, 0, 0, 0, 0]
+        assert total.tolist() == [3, 3, 2, 1, 1, 1, 0, 0]
+        assert [c.tolist() for c in SepsetMap(3).votes(np.empty((0, 3)))] == [[], []]
+        with pytest.raises(GraphError, match=r"index 8 out of range \[0, 8\)"):
+            self.voted_map().votes(np.array([[0, 8, 1]]))
+
+    def test_votes_read_back_in_any_order_and_count_in_equality(self):
+        triples = np.array([[0, 4, 8], [1, 2, 3], [0, 2, 8], [5, 6, 7], [0, 1, 2]])
+        inside, total = np.array([0, 1, 2, 0, 1]), np.array([1, 1, 3, 0, 4])
+        m, other = SepsetMap(9), SepsetMap(9)
+        m.set_votes(triples, inside, total)
+        other.set_votes(triples, inside, total + 1)
+        assert m != other and m != SepsetMap(9)
+        for rows in ([4, 3, 2, 1, 0], [2], [0, 0, 3]):
+            assert [c.tolist() for c in m.votes(triples[rows])] == \
+                [inside[rows].tolist(), total[rows].tolist()]
 
 
 def random_removals(p, count, rng):
@@ -237,9 +304,9 @@ class TestSepsetMapArrays:
             assert sepset_pairs(other) == sepset_pairs(single)
             assert len(other) == len(single)
             assert other.to_json_dict() == single.to_json_dict()
-            assert [other.get(j, i) for i, j in sepset_pairs(single)] == \
-                [single.get(i, j) for i, j in sepset_pairs(single)]
-        assert single.to_json_dict() == {f"{i},{j}": list(single.get(i, j))
+            assert [first_found(other, j, i) for i, j in sepset_pairs(single)] == \
+                [first_found(single, i, j) for i, j in sepset_pairs(single)]
+        assert single.to_json_dict() == {f"{i},{j}": list(first_found(single, i, j))
                                          for i, j in sepset_pairs(single)}
 
     @pytest.mark.parametrize("p", [2, 11, 101, 1001, 12345])
@@ -266,7 +333,8 @@ class TestSepsetMapArrays:
             with pytest.raises(GraphError, match="already holds"):
                 m.set_many(np.array(pairs), np.array(sets))
             assert m.to_json_dict() == before and len(m) == 3
-        assert m.get(0, 3) == (1,) and m.get(1, 2) == (3,) and m.get(6, 7) is None
+        assert first_found(m, 0, 3) == (1,) and first_found(m, 1, 2) == (3,)
+        assert first_found(m, 6, 7) is None
         assert sepset_pairs(m) == [[0, 3], [1, 2], [4, 5]]
         assert m.set_sizes(np.array([3, 0, 0, 5]), np.array([0, 1, 9, 4])).tolist() == \
             [1, -1, -1, 0]
@@ -278,9 +346,9 @@ class TestSepsetMapArrays:
         record(m, 1, 50000, ())
         record(m, 2**31 - 1, 2, [5])
         assert sepset_pairs(m) == [[1, 50000], [2, 2**31 - 1]]
-        assert m.get(2, 2**31 - 1) == (5,) and m.get(1, 50000) == ()
+        assert first_found(m, 2, 2**31 - 1) == (5,) and first_found(m, 1, 50000) == ()
         # (0, 2**32 + 50000) would share the code of (1, 50000)
-        assert m.get(0, 2**32 + 50000) is None
+        assert first_found(m, 0, 2**32 + 50000) is None
         # so would (0, 2**33 + 2**31 - 1) with (2, 2**31 - 1)
         outside = np.array([2**32 + 50000, 2**33 + 2**31 - 1, 2, 2**31])
         assert m.set_sizes(np.array([0, 0, -1, 1]), outside).tolist() == [-1] * 4

@@ -7,7 +7,7 @@ from oracles import (directed_edges_reference, edge_records_reference,
                      equivalence_class_cpdag, meek_proposals_dense, parents_reference,
                      random_dag, skeleton_edges_reference, undirected_edges_reference,
                      undirected_neighbors_reference, unshielded_triples_reference,
-                     validate_cpdag)
+                     validate_cpdag, votes_of)
 from stablepc import (
     Cpdag,
     Dag,
@@ -108,33 +108,34 @@ class TestOrientVStructures:
 
 
 class TestMajorityRule:
-    # unshielded triple 0 - 2 - 1 (3 and 4 isolated); the search's
-    # accepted sets for (0, 1) decide it, whatever the first-found set says
-    def orient(self, searched, first=(2,)):
+    # unshielded triple 0 - 2 - 1 (3 and 4 isolated); the search's vote,
+    # (sets of (0, 1) holding 2, sets of (0, 1)), decides it, whatever the
+    # first-found set says
+    def orient(self, vote, first=(2,)):
         skel = skeleton_with(5, [(0, 2), (1, 2)])
         seps = SepsetMap(5)
         record(seps, 0, 1, first)
-        if searched is not None:
-            seps.set_search(0, 1, searched)
+        if vote is not None:
+            seps.set_votes(np.array([[0, 2, 1]]), [vote[0]], [vote[1]])
         return orient_v_structures(skel, seps)
 
     def test_minority_membership_is_collider(self):
-        g = self.orient([(3,), (4,), (2, 3)])
+        g = self.orient((1, 3))     # (3,), (4,), (2, 3)
         assert {(0, 2), (1, 2)} <= set(g.directed_edges())
         assert (0, 2, 1) not in g.ambiguous
 
     def test_majority_membership_is_non_collider(self):
-        g = self.orient([(2,), (2, 3), (4,)], first=())
+        g = self.orient((2, 3), first=())     # (2,), (2, 3), (4,)
         assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
         assert (0, 2, 1) not in g.ambiguous
 
     def test_tie_is_ambiguous(self):
-        g = self.orient([(2,), (3,)])
+        g = self.orient((1, 2))     # (2,), (3,)
         assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
         assert (0, 2, 1) in g.ambiguous
 
     def test_no_set_found_is_ambiguous(self):
-        g = self.orient([])
+        g = self.orient((0, 0))
         assert {(0, 2), (1, 2)} <= set(g.undirected_edges())
         assert g.ambiguous == {(0, 2, 1)}
 
@@ -143,7 +144,7 @@ class TestMajorityRule:
         assert (0, 2) in self.orient(None, first=(2,)).undirected_edges()
 
     def test_ambiguous_triples_survive_closure_and_copy(self):
-        g = self.orient([])
+        g = self.orient((0, 0))
         assert meek_closure(g).ambiguous == g.ambiguous
         assert g.copy().ambiguous == g.ambiguous
         assert g == Cpdag(g.p, g.mark)  # equality ignores them
@@ -263,10 +264,13 @@ class TestMeekAgainstDenseRounds:
         upper = np.triu(rng.random((p, p)) < density, 1)
         skel = SkeletonGraph(p, upper | upper.T)
         seps = SepsetMap(p)
-        for i, j in sorted({(i, j) for i, _, j in unshielded_triples_reference(skel)}):
+        triples = unshielded_triples_reference(skel)
+        sets_of_pair = {}
+        for i, j in sorted({(i, j) for i, _, j in triples}):
             others = np.array([v for v in range(p) if v not in (i, j)])
-            seps.set_search(i, j, [others[rng.random(len(others)) < 0.5].tolist()
-                                   for _ in range(rng.integers(0, 4))])
+            sets_of_pair[i, j] = [others[rng.random(len(others)) < 0.5].tolist()
+                                  for _ in range(rng.integers(0, 4))]
+        seps.set_votes(np.array(triples).reshape(-1, 3), *votes_of(triples, sets_of_pair))
         return orient_v_structures(skel, seps)
 
     def test_every_round_proposes_what_the_dense_round_does(self):

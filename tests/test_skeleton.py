@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import (decide_edges_per_set, random_dag, search_pairs_per_set,
+from oracles import (decide_edges_per_set, first_found, random_dag, search_votes_per_set,
                      sepset_pairs, true_skeleton_edges)
 from stablepc import (
     Dag,
@@ -18,6 +18,7 @@ from stablepc import (
     LevelExecutionError,
     OracleTest,
     SkeletonConfig,
+    SkeletonGraph,
     gaussian_suffstat,
     pc_simple,
     skeleton_stable,
@@ -52,6 +53,14 @@ def gaussian_case(seed, p=12, n=300, density=0.2):
 def run_outputs(suff, test, p, cfg):
     graph, seps, stats = skeleton_stable(suff, test, p, cfg)
     return graph.adj.copy(), seps, stats
+
+
+def votes_by_triple(graph, seps):
+    """(inside, total) of the map's vote on each unshielded triple of
+    ``graph``, keyed by the triple."""
+    triples = graph.unshielded_triples()
+    return dict(zip(map(tuple, triples.tolist()),
+                    zip(*(c.tolist() for c in seps.votes(triples)))))
 
 
 class TestConfigValidation:
@@ -494,16 +503,24 @@ class TestRoundsAgainstPerSetLoop:
                      np.isfinite(largest).any()]
         assert seen.min() > 0, seen
 
-    def test_search_sets_and_tests_match(self):
-        accepted_sets = tests_run = 0
-        for test, ((_, adj), _, rows) in self.cases():
-            got = skeleton._search_pairs(adj, rows, test, 0.01)
-            want = search_pairs_per_set(adj, rows, test, 0.01)
-            assert got[0].tolist() == want[0].tolist()
-            assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
-            accepted_sets += sum(map(len, want[0]))
-            tests_run += int(want[1].sum())
-        assert accepted_sets and tests_run > accepted_sets
+    def test_search_votes_and_tests_match(self):
+        # a block's pairs with no common neighbour give an empty ``inside``
+        apart = adjacency(4, [[1], [0], [3], [2]]), np.array([[0, 2, 0, 1], [1, 3, 0, 1]])
+        seen = np.zeros(4, dtype=np.int64)
+        cases = [(_ByRowHash(), ((1, apart[0]), None, apart[1]))]
+        for test, ((_, adj), _, rows) in [*cases, *self.cases()]:
+            common = (adj[rows[:, 0]] & adj[rows[:, 1]]).sum(axis=1)
+            for block, shared in ((rows, common), (rows[common == 0], 0), (rows[:0], 0)):
+                got = skeleton._search_pairs(adj, block, test, 0.01)
+                want = search_votes_per_set(adj, block, test, 0.01)
+                assert [c.dtype for c in got] == [c.dtype for c in want]
+                assert all(map(np.array_equal, got, want))
+                total, tests, inside = want
+                split = (0 < inside) & (inside < np.repeat(total, shared))
+                seen += [tests.sum() > total.sum() > 0, split.any(),
+                         len(block) > 0 and total.sum() > 0 and not len(inside),
+                         not len(block)]
+        assert seen.min() > 0, seen
 
 
 class TestSkeletonStable:
@@ -512,7 +529,7 @@ class TestSkeletonStable:
         graph, seps, stats = skeleton_stable(stat, FisherZTest(stat), 5,
                                              SkeletonConfig(alpha=0.01))
         assert list(graph.edges()) == []
-        assert all(seps.get(i, j) == () for i in range(5) for j in range(i + 1, 5))
+        assert all(first_found(seps, i, j) == () for i in range(5) for j in range(i + 1, 5))
         assert stats.levels[0].removals == 10
 
     def test_oracle_chain(self):
@@ -521,14 +538,14 @@ class TestSkeletonStable:
         dag = Dag(3, [[], [0], [1]])
         graph, seps, _ = skeleton_stable(dag, OracleTest(dag), 3, SkeletonConfig())
         assert sorted(graph.edges()) == [(0, 1), (1, 2)]
-        assert seps.get(0, 2) == (1,)
+        assert first_found(seps, 0, 2) == (1,)
 
     def test_oracle_collider(self):
         # 0 and 1 are marginally independent: removed at level 0, sepset ()
         dag = Dag(3, [[], [], [0, 1]])
         graph, seps, _ = skeleton_stable(dag, OracleTest(dag), 3, SkeletonConfig())
         assert sorted(graph.edges()) == [(0, 2), (1, 2)]
-        assert seps.get(0, 1) == ()
+        assert first_found(seps, 0, 1) == ()
 
     def test_oracle_matches_brute_force_skeleton(self):
         rng = np.random.default_rng(0)
@@ -571,8 +588,8 @@ class TestSkeletonStable:
         # 0 - 1 - 2 share neighbour 1; sizes run from the removal level 1
         # up to the final neighbourhood size 1, and (1,) is the only set
         dag = Dag(3, [[], [0], [1]])
-        _, seps, stats = skeleton_stable(dag, OracleTest(dag), 3, SkeletonConfig())
-        assert seps.get_search(0, 2) == ((1,),)
+        graph, seps, stats = skeleton_stable(dag, OracleTest(dag), 3, SkeletonConfig())
+        assert votes_by_triple(graph, seps) == {(0, 1, 2): (1, 1)}
         assert stats.search_tests == 1
 
     def test_search_records_every_accepting_set(self):
@@ -582,36 +599,38 @@ class TestSkeletonStable:
         graph, seps, _ = skeleton_stable(dag, OracleTest(dag), 5, SkeletonConfig())
         assert sorted(graph.edges()) == [(0, 2), (0, 3), (1, 2), (1, 3),
                                          (2, 4), (3, 4)]
-        assert seps.get(0, 1) == ()
-        assert seps.get_search(0, 1) == ((),)
+        assert first_found(seps, 0, 1) == ()
+        votes = votes_by_triple(graph, seps)
+        assert votes[0, 2, 1] == votes[0, 3, 1] == (0, 1)
         # 2 and 3 are separated by {0, 1, 4}; size 3 is the pool size
-        assert seps.get_search(2, 3) == ((0, 1, 4),)
-        assert seps.get_search(0, 4) == ((),)
+        assert votes[2, 0, 3] == votes[2, 1, 3] == votes[2, 4, 3] == (1, 1)
+        assert votes[0, 2, 4] == votes[0, 3, 4] == (0, 1)
 
     def test_search_equal_across_workers_and_batches(self):
         suff = gaussian_case(5, p=14, n=200, density=0.3)
         reference = run_outputs(suff, FisherZTest(suff), suff.p,
                                 SkeletonConfig(num_workers=1))
-        searched = [pair for pair in sepset_pairs(reference[1])
-                    if reference[1].get_search(*pair) is not None]
-        assert searched and reference[2].search_tests > 0
+        triples = SkeletonGraph(suff.p, reference[0]).unshielded_triples()
+        want = reference[1].votes(triples)
+        assert want[1].any() and reference[2].search_tests > 0
         for workers in (1, 2):
             for budget in MEM_BUDGETS:
                 cfg = SkeletonConfig(num_workers=workers, mem_budget_bytes=budget)
                 _, seps, stats = run_outputs(suff, FisherZTest(suff), suff.p, cfg)
-                assert [seps.get_search(*pair) for pair in searched] == \
-                    [reference[1].get_search(*pair) for pair in searched]
+                assert all(map(np.array_equal, seps.votes(triples), want))
                 assert seps == reference[1]
                 assert stats.search_tests == reference[2].search_tests
 
     def test_max_level_caps_search_sizes(self):
         dag = Dag(5, [[], [], [0, 1, 4], [0, 1, 4], []])
-        _, seps, stats = skeleton_stable(dag, OracleTest(dag), 5,
-                                         SkeletonConfig(max_level=0))
-        # 2 - 3 survives; the pairs of causes are searched at size 0 only
-        assert seps.get_search(2, 3) is None
-        pairs = sepset_pairs(seps)
-        assert [seps.get_search(*pair) for pair in pairs] == [((),)] * 3
+        graph, seps, stats = skeleton_stable(dag, OracleTest(dag), 5,
+                                             SkeletonConfig(max_level=0))
+        # 2 - 3 survives, so no triple has those ends and theirs reads no
+        # vote; the pairs of causes are searched at size 0 only
+        assert [c.tolist() for c in seps.votes(np.array([[2, 0, 3]]))] == [[0], [0]]
+        votes = votes_by_triple(graph, seps)
+        assert sorted({(i, j) for i, _, j in votes}) == list(map(tuple, sepset_pairs(seps)))
+        assert len(votes) == 6 and set(votes.values()) == {(0, 1)}
         assert stats.search_tests == 3
 
     def test_column_permutation_equivariance(self):

@@ -11,22 +11,22 @@ extension point for further tests.
 A test may also offer ``pvalues(i, j, s) -> ndarray``, the batched form the
 skeleton engine prefers: int arrays of shapes (m,), (m,) and (m, l) in, one
 p-value per row out, NaN where the scalar call would raise
-``DegenerateConditioningError``.  Each of the four statistical tests is one
+``DegenerateConditioningError``.  Each of the five shipped tests is one
 kernel: canonical rows [min(i, j), max(i, j), *sorted(s)] in, each row's
 statistic, p-value and dof out, NaN p for a degenerate set.  ``pvalues`` is
 that kernel on every row, and the scalar call is the kernel on one row, so
-the two forms agree bit for bit.  The G-squared and chi-squared tests count
-contingency tables on one of three paths: popcounts of ANDed per-value
-bitsets, laid out cell by cell, for tables of fewer than about a hundred
-cells whose rows share their arities; one ``bincount`` of narrow cell keys
-per chunk of rows otherwise; and ranked strata for a row whose strata
-outnumber the samples.  All three give the same integer counts, and each
-row's terms are summed as ``np.add.reduce`` sums them, a block of rows in
-one pass, so the statistic does not depend on the path or the batch.  A
-test's tables hold at most min(n, prod of the set's arities) * a_i * a_j
-cells, while its dof keeps the full arity product.  Every test reads the
-conditioning set in ascending order, so the set's order never changes an
-outcome.
+the two forms agree bit for bit; the oracle's p is 1 or 0 by ``d_separated``.
+The G-squared and chi-squared tests count contingency tables on one of
+three paths: popcounts of ANDed per-value bitsets, laid out cell by cell,
+for tables of fewer than about a hundred cells whose rows share their
+arities; one ``bincount`` of narrow cell keys per chunk of rows otherwise;
+and ranked strata for a row whose strata outnumber the samples.  All three
+give the same integer counts, and each row's terms are summed as
+``np.add.reduce`` sums them, a block of rows in one pass, so the statistic
+does not depend on the path or the batch.  A test's tables hold at most
+min(n, prod of the set's arities) * a_i * a_j cells, while its dof keeps
+the full arity product.  Every test reads the conditioning set in
+ascending order, so the set's order never changes an outcome.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def _chi2_sfs(x: np.ndarray, dof: np.ndarray) -> np.ndarray:
 
 
 class _KernelTest:
-    """A statistical test's ``__call__`` and ``pvalues``, both its one kernel
-    ``_outcomes``: canonical rows in, each row's (statistic, p, dof) out, NaN
+    """A test's ``__call__`` and ``pvalues``, both its one kernel ``_outcomes``
+    over ``stat``: canonical rows in, each row's (statistic, p, dof) out, NaN
     p for a degenerate conditioning set."""
 
     def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome:
@@ -550,15 +550,15 @@ class ChiSquaredTest(_KernelTest):
 
 
 @dataclass(frozen=True)
-class OracleTest:
-    """Exact test answering from d-separation on a known ground-truth DAG."""
+class OracleTest(_KernelTest):
+    """Exact test on a ground-truth DAG ``stat``: p = 1 where it d-separates
+    a row's pair given its set, else 0; statistic and dof 0."""
 
-    dag: Dag
+    stat: Dag
 
-    def __call__(self, i: int, j: int, s: Sequence[int]) -> CiTestOutcome:
-        s = _validate_triplet(self.dag.p, i, j, s)
-        independent = d_separated(self.dag, i, j, s)
-        return CiTestOutcome(0.0, 1.0 if independent else 0.0, 0.0)
+    def _outcomes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p = np.array([d_separated(self.stat, i, j, s) for i, j, *s in rows.tolist()], float)
+        return np.zeros(len(p)), p, np.zeros(len(p))
 
 
 def make_citest(test_id: str, *, gaussian: GaussianSuffStat | None = None,

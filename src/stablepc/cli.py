@@ -211,7 +211,11 @@ def _load_truth(path: Path) -> tuple[Dag, dict[tuple[int, int], float] | None]:
         dag = dag_from_json_dict(data)
         weights = data.get("weights")
         if weights is not None:
-            weights = {(int(u), int(v)): float(w) for u, v, w in weights}
+            for row in weights:
+                u, v, w = row
+                if not (type(u) is type(v) is int and type(w) in (int, float)):
+                    raise ValueError(f"weight row {row!r} is not [u, v, weight]")
+            weights = {(u, v): float(w) for u, v, w in weights}
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -390,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         # is the only one.
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         sp.add_argument("--output", type=Path, required=True, help="output directory")
-        sp.add_argument("--seed", type=int)
         return sp
 
     def pipeline(name: str, help_text: str) -> argparse.ArgumentParser:
@@ -407,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("gen", "generate a synthetic dataset with ground truth")
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--p", dest="gen_p", metavar="P", type=int, required=True)
     sp.add_argument("--density", dest="gen_density", metavar="DENSITY", type=float,
                     required=True)
@@ -423,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--outcome", type=int, required=True)
 
     sp = pipeline("bench", "sequential vs parallel comparison")
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--algos", type=_algo_list,
                     help="comma-separated subset of pc,pcsimple,ida")
     sp.add_argument("--gen-p", type=int)

@@ -11,8 +11,8 @@ container is sized by the variable count p it is built with.
 
 from __future__ import annotations
 
+import heapq
 import operator
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -379,7 +379,7 @@ class SepsetMap:
 
 
 class Dag:
-    """Directed acyclic graph given by per-variable sorted parent lists."""
+    """Directed acyclic graph: each variable's parents and children, ascending."""
 
     def __init__(self, p: int, parents: Sequence[Iterable[int]]):
         if p < 1:
@@ -397,35 +397,31 @@ class Dag:
             cleaned.append(ps)
         self.p = p
         self.parents = tuple(cleaned)
+        children: list[list[int]] = [[] for _ in range(p)]
+        for u, v in self.edges():
+            children[u].append(v)
+        self._children = tuple(map(tuple, children))
         if self.topological_order() is None:
             raise GraphError("parent structure has a cycle")
 
     def children(self, v: int) -> list[int]:
-        return [c for c in range(self.p) if v in self.parents[c]]
+        return list(self._children[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for v in range(self.p) for u in self.parents[v]]
 
     def topological_order(self) -> list[int] | None:
-        """Kahn's algorithm, smallest index first; None if cyclic."""
-        indegree = [len(self.parents[v]) for v in range(self.p)]
-        children: list[list[int]] = [[] for _ in range(self.p)]
-        for v in range(self.p):
-            for u in self.parents[v]:
-                children[u].append(v)
-        ready = sorted(v for v in range(self.p) if indegree[v] == 0)
+        """Kahn's algorithm, smallest ready index first; None if cyclic."""
+        indegree = [len(ps) for ps in self.parents]
+        ready = [v for v in range(self.p) if not indegree[v]]   # ascending, so a heap
         order = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
-            changed = False
-            for c in children[v]:
+            for c in self._children[v]:
                 indegree[c] -= 1
-                if indegree[c] == 0:
-                    ready.append(c)
-                    changed = True
-            if changed:
-                ready.sort()
+                if not indegree[c]:
+                    heapq.heappush(ready, c)
         return order if len(order) == self.p else None
 
     def descendants(self, v: int) -> set[int]:
@@ -433,8 +429,7 @@ class Dag:
         out: set[int] = set()
         stack = [v]
         while stack:
-            u = stack.pop()
-            for c in self.children(u):
+            for c in self._children[stack.pop()]:
                 if c not in out:
                     out.add(c)
                     stack.append(c)
@@ -455,11 +450,16 @@ class Dag:
 
 
 def d_separated(dag: Dag, i: int, j: int, s: Iterable[int]) -> bool:
-    """d-separation of i and j given s, via the moral ancestral graph.
+    """d-separation of i and j given s, by reachability along trails on the
+    DAG (Bayes-ball: Shachter, UAI 1998).
 
-    Builds the subgraph induced by the ancestors of {i, j} union s, marries
-    co-parents, drops directions, and checks that s blocks every undirected
-    path (Lauritzen's criterion, equivalent to path-wise d-separation).
+    The search visits (node, arrived from a child) states from (i, True).
+    A node outside s passes a trail on to its children, and to its parents
+    when the trail arrived from a child.  A node in s blocks a trail, but
+    sends one that arrived from a parent back to its parents; so a collider
+    opens when it or one of its descendants is in s.  i and j are
+    d-connected when a state of j is reached.  Every node of an active
+    trail is an ancestor of i, j or s, so the search stays among those.
     """
     s = frozenset(int(v) for v in s)
     if i == j:
@@ -467,59 +467,47 @@ def d_separated(dag: Dag, i: int, j: int, s: Iterable[int]) -> bool:
     if i in s or j in s:
         raise GraphError("conditioning set must exclude i and j")
     _check_indices(dag.p, min(i, j, *s), max(i, j, *s))
-
-    # Ancestral closure of {i, j} | s.
-    anc = set()
-    stack = [i, j, *s]
+    within = {i, j, *s}
+    stack = list(within)
     while stack:
-        v = stack.pop()
-        if v in anc:
+        for u in dag.parents[stack.pop()]:
+            if u not in within:
+                within.add(u)
+                stack.append(u)
+    seen = set()
+    stack = [(i, True)]
+    while stack:
+        state = stack.pop()
+        if state in seen:
             continue
-        anc.add(v)
-        stack.extend(dag.parents[v])
-
-    # Moralize: undirected parent-child edges plus married co-parents.
-    adj: dict[int, set[int]] = {v: set() for v in anc}
-    for v in anc:
-        ps = [u for u in dag.parents[v] if u in anc]
-        for u in ps:
-            adj[u].add(v)
-            adj[v].add(u)
-        for a in range(len(ps)):
-            for b in range(a + 1, len(ps)):
-                adj[ps[a]].add(ps[b])
-                adj[ps[b]].add(ps[a])
-
-    # Reachability from i avoiding s.
-    seen = {i}
-    queue = deque([i])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u == j:
-                return False
-            if u not in seen and u not in s:
-                seen.add(u)
-                queue.append(u)
+        seen.add(state)
+        v, from_child = state
+        if v == j:
+            return False
+        if v not in s:
+            stack += [(c, False) for c in dag._children[v] if c in within]
+        if from_child != (v in s):
+            stack += [(u, True) for u in dag.parents[v]]
     return True
 
 
 def dag_from_json_dict(data: object) -> Dag:
-    """The DAG of ``{"p": p, "edges": [[u, v, "->"], ...]}``; GraphError
-    naming the edge at fault when ``data`` does not describe one."""
+    """The DAG of ``{"p": p, "edges": [[u, v, "->"], ...]}``, p and each u
+    and v JSON integers; GraphError naming the edge at fault when ``data``
+    does not describe one."""
     try:
-        p = int(data["p"])
-        edges = list(data["edges"])
-    except (TypeError, ValueError, KeyError):
-        raise GraphError('a DAG needs an integer "p" and an "edges" list') from None
+        p, edges = data["p"], list(data["edges"])
+    except (TypeError, KeyError):
+        p = None
+    if type(p) is not int:
+        raise GraphError('a DAG needs an integer "p" and an "edges" list')
     parents: list[list[int]] = [[] for _ in range(p)]
     for edge in edges:
         try:
             u, v, m = edge
-            u, v = int(u), int(v)
         except (TypeError, ValueError):
             raise GraphError(f"DAG edge {edge!r} is not [u, v, \"->\"]") from None
-        if m != "->" or not (0 <= u < p and 0 <= v < p):
+        if m != "->" or not (type(u) is type(v) is int and 0 <= u < p and 0 <= v < p):
             raise GraphError(f"DAG edge {edge!r} is not [u, v, \"->\"], u and v in [0, {p})")
         parents[v].append(u)
     return Dag(p, parents)

@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .citests import CiTest
 from .data import Continuous, Dataset
@@ -154,6 +153,7 @@ def _solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     identified); the pseudo-inverse path only rescues full-rank matrices the
     Cholesky factorization rejected for numerical reasons.
     """
+    from scipy.linalg import cho_factor, cho_solve   # here, so only ida loads it
     try:
         beta = cho_solve(cho_factor(a), b)
     except np.linalg.LinAlgError:

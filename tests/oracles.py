@@ -1,25 +1,27 @@
 """Independent verification oracles used across the test suite.
 
 Everything here is deliberately implemented differently from the library:
-d-separation by exhaustive path enumeration (the library moralizes),
-equivalence classes by enumerating DAG orientations, partial correlation by
-regressing out the conditioning set from raw data, total effects by directed
-path products, and high-precision tail probabilities via mpmath.  Each
+d-separation by exhaustive path enumeration and by Lauritzen's moral
+ancestral graph (the library follows trails on the DAG), equivalence
+classes by enumerating DAG orientations, partial correlation by regressing
+out the conditioning set from raw data, total effects by directed path
+products, and high-precision tail probabilities via mpmath.  Each
 statistical test also has a bit-level reference, the library's former scalar
 code, which its kernel must match bit for bit: one submatrix inversion per
 call for the Gaussian tests, one full contingency table per call for the
 discrete ones (which are also checked by dict counting over the observed
 strata only).  The graph steps keep theirs too: unshielded triples by a
 loop over each vertex's neighbour pairs, Meek proposals read from the
-whole mark matrix, and the containers' edge and neighbour queries by loops
-over rows.  So does the level engine: a level's rounds and the search's
+whole mark matrix, the containers' edge and neighbour queries by loops
+over rows, and a DAG's children and topological order by scans of its
+parent lists.  So does the level engine: a level's rounds and the search's
 tally by one Python update per tested set.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, islice, product
 
 import mpmath
@@ -28,7 +30,7 @@ from scipy.special import gammaincc
 
 from stablepc import (Cpdag, Dag, DegenerateConditioningError, DiscreteSuffStat,
                       GaussianSuffStat, GraphError, SkeletonGraph)
-from stablepc.graphs import ARROW, NO_END, TAIL
+from stablepc.graphs import ARROW, NO_END, TAIL, _check_indices
 from stablepc import skeleton
 from stablepc.orientation import _derives
 from stablepc.skeleton import _neighbours, _pair_sets, _pvalues, _sets_of_size, _without
@@ -85,6 +87,85 @@ def dsep_paths(dag: Dag, i: int, j: int, s) -> bool:
             elif nxt not in path:
                 stack.append(path + [nxt])
     return True
+
+
+def dsep_moral(dag: Dag, i: int, j: int, s) -> bool:
+    """d-separation of i and j given s, via the moral ancestral graph.
+
+    Builds the subgraph induced by the ancestors of {i, j} union s, marries
+    co-parents, drops directions, and checks that s blocks every undirected
+    path (Lauritzen's criterion, equivalent to path-wise d-separation).
+    """
+    s = frozenset(int(v) for v in s)
+    if i == j:
+        raise GraphError("i and j must differ")
+    if i in s or j in s:
+        raise GraphError("conditioning set must exclude i and j")
+    _check_indices(dag.p, min(i, j, *s), max(i, j, *s))
+
+    # Ancestral closure of {i, j} | s.
+    anc = set()
+    stack = [i, j, *s]
+    while stack:
+        v = stack.pop()
+        if v in anc:
+            continue
+        anc.add(v)
+        stack.extend(dag.parents[v])
+
+    # Moralize: undirected parent-child edges plus married co-parents.
+    adj: dict[int, set[int]] = {v: set() for v in anc}
+    for v in anc:
+        ps = [u for u in dag.parents[v] if u in anc]
+        for u in ps:
+            adj[u].add(v)
+            adj[v].add(u)
+        for a in range(len(ps)):
+            for b in range(a + 1, len(ps)):
+                adj[ps[a]].add(ps[b])
+                adj[ps[b]].add(ps[a])
+
+    # Reachability from i avoiding s.
+    seen = {i}
+    queue = deque([i])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if u == j:
+                return False
+            if u not in seen and u not in s:
+                seen.add(u)
+                queue.append(u)
+    return True
+
+
+def children_reference(dag: Dag, v: int) -> list[int]:
+    """v's children by a scan of every parent list."""
+    return [c for c in range(dag.p) if v in dag.parents[c]]
+
+
+def topological_order_reference(dag: Dag) -> list[int] | None:
+    """Kahn's algorithm on a ready list sorted after each append, smallest
+    index first; None if cyclic."""
+    indegree = [len(dag.parents[v]) for v in range(dag.p)]
+    children: list[list[int]] = [[] for _ in range(dag.p)]
+    for v in range(dag.p):
+        for u in dag.parents[v]:
+            children[u].append(v)
+    ready = sorted(v for v in range(dag.p) if indegree[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        changed = False
+        for c in children[v]:
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                ready.append(c)
+                changed = True
+        if changed:
+            ready.sort()
+    return order if len(order) == dag.p else None
 
 
 def true_skeleton_edges(dag: Dag) -> set[tuple[int, int]]:

@@ -22,6 +22,7 @@ from oracles import (
     g_squared_dict,
     mi_g_p_highprec,
     pcor_residuals,
+    random_dag,
 )
 from stablepc import (
     ChiSquaredTest,
@@ -36,6 +37,7 @@ from stablepc import (
     GaussianSuffStat,
     GSquaredTest,
     OracleTest,
+    d_separated,
     gaussian_suffstat,
     make_citest,
     partial_correlation,
@@ -298,6 +300,20 @@ class TestOracleTest:
     def test_collider(self):
         dag = Dag(3, [[], [], [0, 1]])
         assert OracleTest(dag)(0, 1, [2]).p_value == 0.0
+
+    def test_pvalues_equal_scalar_calls_and_d_separated(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            p = int(rng.integers(3, 61))
+            dag = random_dag(p, rng.uniform(0.5, 4.0) / p, rng)
+            test = OracleTest(dag)
+            size = int(rng.integers(0, min(6, p - 2) + 1))
+            rows = np.stack([rng.choice(p, size=size + 2, replace=False) for _ in range(25)])
+            got = test.pvalues(rows[:, 0], rows[:, 1], rows[:, 2:])
+            for (i, j, *s), value in zip(rows.tolist(), got.tolist()):
+                outcome = test(i, j, s)
+                assert (outcome.statistic, outcome.dof) == (0.0, 0.0)
+                assert value == outcome.p_value == float(d_separated(dag, i, j, s))
 
 
 class TestOutcomeAndRegistry:

@@ -170,8 +170,18 @@ class TestExitCodes:
         ({"p": 3, "edges": [[0, -1, "->"]]}, "[0, -1, '->']"),
         ({"p": 3, "edges": [[0, 1, "--"]]}, "[0, 1, '--']"),
         ({"p": 3, "edges": [[0, 1, "->"]], "weights": [[0, 1]]}, "not a truth JSON"),
+        ({"p": 3.7, "edges": []}, '"p"'),
+        ({"p": 3, "edges": [[0.9, 1.6, "->"]]}, "[0.9, 1.6, '->']"),
+        ({"p": 3, "edges": [["0", "2", "->"]]}, "['0', '2', '->']"),
+        ({"p": 3, "edges": [[True, 2, "->"]]}, "[True, 2, '->']"),
+        ({"p": 3, "edges": [[0, 1, "->"]], "weights": [[0.2, 1.9, True]]},
+         "[0.2, 1.9, True]"),
+        ({"p": 3, "edges": [[0, 1, "->"]], "weights": [[0, 1, True]]}, "[0, 1, True]"),
+        ({"p": 3, "edges": [[0, 1, "->"]], "weights": [[0, 1, "0.5"]]}, "[0, 1, '0.5']"),
     ], ids=["no-p", "two-fields", "endpoint-past-p", "negative-endpoint",
-            "undirected-mark", "short-weight"])
+            "undirected-mark", "short-weight", "float-p", "float-endpoints",
+            "string-endpoints", "bool-endpoint", "float-weight-endpoints", "bool-weight",
+            "string-weight"])
     def test_malformed_truth(self, tmp_path, capsys, truth, named):
         path = tmp_path / "truth.json"
         path.write_text(json.dumps(truth), encoding="utf-8")
@@ -228,6 +238,19 @@ class TestExitCodes:
             run(["pc", "--input", "x.csv", "--output", "y",
                  "--indep-test", "bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["skeleton"], ["pc"], ["pcsimple", "--target", "0"],
+        ["ida", "--cause", "0", "--outcome", "1"],
+    ], ids=["skeleton", "pc", "pcsimple", "ida"])
+    def test_seed_rejected_where_unread(self, tmp_path, capsys, argv):
+        path, _ = chain_csv(tmp_path, n=50)
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--input", str(path), "--output", str(tmp_path / "out"),
+                 "--seed", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_mem_budget(self, tmp_path):
         path, _ = chain_csv(tmp_path, n=50)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (dsep_paths, first_found, random_dag, sepset_pairs,
-                     unshielded_triples_reference, validate_cpdag)
+from oracles import (children_reference, dsep_moral, dsep_paths, first_found, random_dag,
+                     sepset_pairs, topological_order_reference, unshielded_triples_reference,
+                     validate_cpdag)
 from stablepc import (
     Cpdag,
     Dag,
@@ -398,9 +399,39 @@ class TestDag:
             assert dag.skeleton().edges() == \
                 sorted((min(u, v), max(u, v)) for u, v in dag.edges())
 
+    def test_children_order_and_descendants_match_the_former_loops(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            p = int(rng.integers(2, 61))
+            dag = random_dag(p, rng.uniform(0.5, 4.0) / p, rng)
+            children = [children_reference(dag, v) for v in range(p)]
+            assert [dag.children(v) for v in range(p)] == children
+            assert dag.topological_order() == topological_order_reference(dag)
+            for v in range(p):
+                below, stack = set(), [v]
+                while stack:
+                    fresh = set(children[stack.pop()]) - below
+                    below |= fresh
+                    stack += fresh
+                assert dag.descendants(v) == below - {v}
+
     def test_json_round_trip(self):
         dag = Dag(4, [[], [0], [0, 1], [2]])
         assert dag_from_json_dict(dag.to_json_dict()) == dag
+
+    @pytest.mark.parametrize("data, named", [
+        ({"p": 3.7, "edges": []}, '"p"'),
+        ({"p": "3", "edges": []}, '"p"'),
+        ({"p": True, "edges": []}, '"p"'),
+        ({"p": 3, "edges": [[0.9, 1.6, "->"]]}, "[0.9, 1.6, '->']"),
+        ({"p": 3, "edges": [["0", "2", "->"]]}, "['0', '2', '->']"),
+        ({"p": 3, "edges": [[True, 2, "->"]]}, "[True, 2, '->']"),
+    ], ids=["float-p", "string-p", "bool-p", "float-endpoints", "string-endpoints",
+            "bool-endpoint"])
+    def test_json_needs_integers(self, data, named):
+        with pytest.raises(GraphError) as err:
+            dag_from_json_dict(data)
+        assert named in str(err.value)
 
 
 class TestDSeparation:
@@ -440,6 +471,19 @@ class TestDSeparation:
                         for sub in combinations(others, size):
                             assert d_separated(dag, i, j, sub) == \
                                 dsep_paths(dag, i, j, sub), (dag.parents, i, j, sub)
+
+    def test_against_moral_graph_reference(self):
+        rng = np.random.default_rng(16)
+        answers = []
+        for _ in range(1000):
+            p = int(rng.integers(2, 61))
+            dag = random_dag(p, rng.uniform(0.5, 4.0) / p, rng)
+            for _ in range(10):
+                i, j, *sub = rng.choice(p, size=2 + int(rng.integers(0, min(6, p - 2) + 1)),
+                                        replace=False).tolist()
+                answers.append(d_separated(dag, i, j, sub))
+                assert answers[-1] == dsep_moral(dag, i, j, sub), (dag.parents, i, j, sub)
+        assert 0.2 < np.mean(answers) < 0.8
 
     @given(st.integers(0, 10_000))
     def test_symmetric_in_endpoints(self, seed):

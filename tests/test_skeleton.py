@@ -369,6 +369,12 @@ class _BatchedOnlyFisherZ(FisherZTest):
         raise AssertionError("scalar Fisher z called during the levels")
 
 
+@dataclass(frozen=True)
+class _BatchedOnlyOracle(OracleTest):
+    def __call__(self, i, j, s):
+        raise AssertionError("scalar oracle called during the levels")
+
+
 def duplicated_column_case(seed=6, p=10):
     """A Gaussian statistic whose last variable copies variable 0 exactly, so
     every set holding both copies is singular."""
@@ -419,6 +425,15 @@ class TestBatchedPath:
                                        SkeletonConfig())
         reference = run_outputs(suff, FisherZTest(suff), suff.p, SkeletonConfig())
         assert len(stats.levels) > 1 and stats.search_tests > 0
+        assert np.array_equal(adj, reference[0]) and seps == reference[1]
+
+    def test_levels_never_call_scalar_oracle(self):
+        dag = random_dag(12, 0.25, np.random.default_rng(8))
+        adj, seps, stats = run_outputs(dag, _BatchedOnlyOracle(dag), dag.p,
+                                       SkeletonConfig())
+        reference = run_outputs(dag, _ScalarOnly(OracleTest(dag)), dag.p, SkeletonConfig())
+        assert len(stats.levels) > 1 and stats.search_tests > 0
+        assert np.array_equal(adj, dag.skeleton().adj)
         assert np.array_equal(adj, reference[0]) and seps == reference[1]
 
     def test_pc_simple_never_calls_scalar_fisher_z(self):
